@@ -17,32 +17,27 @@ from pairedgraph import (
     extract_cross_pair_graph,
     null_moments,
     pool,
-    statistics,
+    standardize,
 )
 from pairedgraph.core import PairedSample
-from pairedgraph.stats import EdgeCounts
 
 rng = np.random.default_rng(42)
 n, d = 7, 3
 
 sample = PairedSample(x=rng.standard_normal((n, d)), y=rng.standard_normal((n, d)))
-pooled, index = pool(sample)
-cross = extract_cross_pair_graph(build_kmst(distance_matrix(pooled), 2), index)
+cross = extract_cross_pair_graph(build_kmst(distance_matrix(pool(sample)), 2))
 
 print(f"{n} pairs, 2-MST: {cross.n_edges} cross-pair edges, "
       f"c1={cross.c1}, c2={cross.c2}")
 
-analytic = null_moments(cross, index)
-brute = exhaustive_null_moments(cross, index)
+analytic = null_moments(cross)
+brute = exhaustive_null_moments(cross)
 
 print(f"\n{'moment':<10}{'closed form':>16}{'all 2^n swaps':>16}")
 for field in ("e_r1", "var_r1", "cov_r12", "var_sum", "var_diff"):
     print(f"{field:<10}{getattr(analytic, field):>16.10f}"
           f"{getattr(brute, field):>16.10f}")
 
-r1, r2 = exhaustive_edge_counts(cross, index)
-residual = 0.0
-for a, b in zip(r1.tolist(), r2.tolist()):
-    t = statistics(EdgeCounts(a, b), analytic)
-    residual = max(residual, abs(t.z_g - t.z_m**2 - t.z_s**2))
+z_m, z_s, z_g = standardize(*exhaustive_edge_counts(cross), analytic)
+residual = np.max(np.abs(z_g - z_m**2 - z_s**2))
 print(f"\nmax |z_g - z_m^2 - z_s^2| over all {2**n} swaps: {residual:.2e}")

@@ -3,8 +3,8 @@
 The pipeline pools the n pairs into 2n points, builds a k-MST similarity
 graph, removes within-pair edges, and tests the observed within-sample edge
 counts (R1, R2) against their exact moments under the 2^n within-pair label
-swaps. ``run_paired_test`` wires the whole pipeline; the individual stages
-are exported for piecemeal use.
+swaps. ``run_paired_test`` wires the whole pipeline around ``graph_test``;
+the individual stages are exported for piecemeal use.
 """
 
 from ._version import __version__
@@ -17,22 +17,13 @@ from .baselines import (
     hotelling_paired,
     paired_t_test,
 )
-from .core import (
-    Assignment,
-    PairedSample,
-    PooledIndex,
-    ValidationError,
-    identity_assignment,
-    pool,
-)
+from .core import PairedSample, ValidationError, pool
 from .graph import (
     DisconnectedError,
     DistanceMatrix,
     SimilarityGraph,
     build_kmst,
-    build_mst,
     distance_matrix,
-    graph_weight,
     precomputed_distance,
 )
 from .inference import (
@@ -73,13 +64,13 @@ from .stats import (
     DegenerateNullError,
     EdgeCounts,
     StatisticTriple,
-    count_edges,
+    graph_test,
+    standardize,
     statistics,
 )
 
 __all__ = [
     "__version__",
-    "Assignment",
     "ConditionDiagnostics",
     "CrossPairGraph",
     "DegenerateNullError",
@@ -94,7 +85,6 @@ __all__ = [
     "OracleSummary",
     "PValueReport",
     "PairedSample",
-    "PooledIndex",
     "SimilarityGraph",
     "SingularCovarianceError",
     "StatisticTriple",
@@ -105,19 +95,16 @@ __all__ = [
     "asymptotic_pvalues",
     "bonferroni",
     "build_kmst",
-    "build_mst",
     "census_q3",
     "chi2_2_sf",
     "condition_diagnostics",
-    "count_edges",
     "distance_matrix",
     "exhaustive_edge_counts",
     "exhaustive_null_moments",
     "extract_cross_pair_graph",
     "generate",
-    "graph_weight",
+    "graph_test",
     "hotelling_paired",
-    "identity_assignment",
     "load_scenario",
     "normal_sf",
     "null_moments",
@@ -136,6 +123,7 @@ __all__ = [
     "run_scenario",
     "run_size_study",
     "scalar_block_spec",
+    "standardize",
     "statistics",
     "write_paired_csv",
 ]

@@ -26,7 +26,7 @@ class DimensionError(ValidationError):
     """The test needs more pairs than dimensions (n > d)."""
 
 
-class SingularCovarianceError(RuntimeError):
+class SingularCovarianceError(ValidationError):
     """The difference covariance is numerically singular."""
 
 

@@ -1,8 +1,8 @@
 """Domain types for paired multivariate samples.
 
-Nodes are 0-based rows of the pooled matrix: rows 0..n-1 hold the first
-sample, rows n..2n-1 the second, and row i is paired with row i +/- n.
-User-facing messages and files report 1-based indices.
+``pool`` stacks the two samples into one matrix whose rows are the graph
+nodes; ``moments._partner`` states the pair layout this gives. User-facing
+messages and files report 1-based indices.
 """
 
 from __future__ import annotations
@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ValidationError",
-    "PairedSample",
-    "PooledIndex",
-    "Assignment",
-    "pool",
-    "identity_assignment",
-]
+__all__ = ["ValidationError", "PairedSample", "pool"]
 
 
 class ValidationError(ValueError):
@@ -74,60 +67,8 @@ class PairedSample:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True)
-class PooledIndex:
-    """Pairing structure of the pooled matrix: node i is paired with i +/- n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError("pair count must be positive")
-
-    @property
-    def n_nodes(self) -> int:
-        return 2 * self.n
-
-    def partner(self, i: int) -> int:
-        if not 0 <= i < self.n_nodes:
-            raise ValidationError(f"node {i} out of range for {self.n} pairs")
-        return i + self.n if i < self.n else i - self.n
-
-    def partner_array(self) -> np.ndarray:
-        """partner of every node, as one vector."""
-        nodes = np.arange(self.n_nodes)
-        return (nodes + self.n) % self.n_nodes
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Sample labels (1 or 2) for every pooled node, one of each per pair."""
-
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int8)
-        if labels.ndim != 1 or labels.size == 0 or labels.size % 2:
-            raise ValidationError("labels must be a flat vector of even length")
-        if not np.isin(labels, (1, 2)).all():
-            raise ValidationError("labels must be 1 or 2")
-        n = labels.size // 2
-        if not np.array_equal(labels[:n] + labels[n:], np.full(n, 3, np.int8)):
-            raise ValidationError("each pair must receive one label 1 and one label 2")
-        object.__setattr__(self, "labels", _readonly(labels))
-
-    @property
-    def n(self) -> int:
-        return self.labels.size // 2
-
-
-def pool(sample: PairedSample) -> tuple[np.ndarray, PooledIndex]:
-    """Stack the two samples into one matrix: x rows first, then y rows."""
+def pool(sample: PairedSample) -> np.ndarray:
+    """Stack the two samples into one read-only matrix: x rows, then y rows."""
     pooled = np.vstack([sample.x, sample.y])
     pooled.setflags(write=False)
-    return pooled, PooledIndex(sample.n)
-
-
-def identity_assignment(index: PooledIndex) -> Assignment:
-    """The observed labeling: first n rows are sample 1, the rest sample 2."""
-    return Assignment(np.repeat(np.int8([1, 2]), index.n))
+    return pooled

@@ -21,16 +21,14 @@ __all__ = [
     "SimilarityGraph",
     "distance_matrix",
     "precomputed_distance",
-    "build_mst",
     "build_kmst",
-    "graph_weight",
 ]
 
 _METRICS = {"euclidean": "euclidean", "manhattan": "cityblock"}
 
 
 class DisconnectedError(RuntimeError):
-    """No spanning tree exists once the excluded edges are removed."""
+    """No spanning tree exists once the earlier trees' edges are removed."""
 
     def __init__(self, message: str, level: int = 1) -> None:
         super().__init__(message)
@@ -169,27 +167,6 @@ def _spanning_pass(us, vs, n_nodes: int, banned: bytearray, level: int):
     )
 
 
-def build_mst(dist: DistanceMatrix, excluded=()) -> SimilarityGraph:
-    """Minimum spanning tree avoiding the ``excluded`` edges."""
-    n = dist.n_nodes
-    iu, iv = _sorted_candidates(dist)
-    us = iu.tolist()
-    vs = iv.tolist()
-    banned = bytearray(len(us))
-    excluded = list(excluded)
-    if excluded:
-        position = {(u, v): pos for pos, (u, v) in enumerate(zip(us, vs))}
-        for a, b in excluded:
-            a, b = int(a), int(b)
-            lo, hi = (a, b) if a < b else (b, a)
-            if lo == hi or lo < 0 or hi >= n:
-                raise ValidationError(f"invalid excluded edge ({a}, {b})")
-            banned[position[(lo, hi)]] = 1
-    chosen = _spanning_pass(us, vs, n, banned, level=1)
-    edges = [(us[pos], vs[pos]) for pos in chosen]
-    return SimilarityGraph(np.array(edges, dtype=np.int64), n, k=1)
-
-
 def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
     """Union of k successive edge-disjoint minimum spanning trees."""
     if int(k) != k or k < 1:
@@ -210,10 +187,3 @@ def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
         for pos in _spanning_pass(us, vs, n, banned, level):
             edges.append((us[pos], vs[pos]))
     return SimilarityGraph(np.array(edges, dtype=np.int64), n, k=k)
-
-
-def graph_weight(graph: SimilarityGraph, dist: DistanceMatrix) -> float:
-    """Total weight of the graph's edges under the given distances."""
-    if graph.n_edges == 0:
-        return 0.0
-    return float(dist.dist[graph.edges[:, 0], graph.edges[:, 1]].sum())

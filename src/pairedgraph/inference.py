@@ -11,11 +11,11 @@ reported, which can never return 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PooledIndex, ValidationError
+from .core import ValidationError
 from .graph import DisconnectedError, SimilarityGraph, build_kmst, distance_matrix
 from .moments import (
     CrossPairGraph,
@@ -25,7 +25,7 @@ from .moments import (
     extract_cross_pair_graph,
     null_moments,
 )
-from .stats import VARIANCE_FLOOR, StatisticTriple
+from .stats import StatisticTriple, standardize
 
 __all__ = [
     "DEFAULT_EXACT_THRESHOLD",
@@ -65,15 +65,6 @@ class PValueReport:
     mode: str | None = None  # "exact" or "monte-carlo"
     seed: int | None = None
     rng_algorithm: str | None = None
-
-    def merged_with(self, other: "PValueReport") -> "PValueReport":
-        """Fill this report's unset fields from ``other``."""
-        updates = {
-            name: getattr(other, name)
-            for name in self.__dataclass_fields__
-            if getattr(self, name) is None
-        }
-        return replace(self, **updates)
 
 
 def normal_sf(x: float) -> float:
@@ -126,23 +117,6 @@ def _counts_for_flips(layout, flips: np.ndarray):
     return r1.astype(np.int64), r2.astype(np.int64)
 
 
-def _stat_arrays(r1, r2, moments: NullMoments):
-    """Vectorized (z_m, |z_s|, z_g) with None for degenerate directions."""
-    z_m = abs_z_s = z_g = None
-    if moments.var_sum >= VARIANCE_FLOOR:
-        z_m = (r1 + r2 - 2.0 * moments.e_r1) / math.sqrt(moments.var_sum)
-    if moments.var_diff >= VARIANCE_FLOOR:
-        abs_z_s = np.abs((r1 - r2) / math.sqrt(moments.var_diff))
-    det = moments.var_sum * moments.var_diff / 4.0
-    if det >= VARIANCE_FLOOR:
-        v1 = r1 - moments.e_r1
-        v2 = r2 - moments.e_r1
-        z_g = (
-            moments.var_r1 * (v1 * v1 + v2 * v2) - 2.0 * moments.cov_r12 * v1 * v2
-        ) / det
-    return z_m, abs_z_s, z_g
-
-
 def _enumerated_flip_chunks(n: int):
     total = 1 << n
     step = min(total, _CHUNK)
@@ -154,7 +128,6 @@ def _enumerated_flip_chunks(n: int):
 
 def permutation_pvalues(
     cross: CrossPairGraph,
-    index: PooledIndex,
     moments: NullMoments,
     *,
     n_perm: int = 10000,
@@ -169,9 +142,7 @@ def permutation_pvalues(
     below ``exact_threshold``). Exact mode counts swaps whose statistic is
     >= the observed one (or > with ``strict=True``) out of all 2^n.
     """
-    n = index.n
-    if cross.n_nodes != index.n_nodes:
-        raise ValidationError("cross-pair graph does not match the pooled index")
+    n = cross.n_pairs
     if mode not in ("auto", "exact", "monte-carlo"):
         raise ValidationError(f"unknown permutation mode {mode!r}")
     if mode == "auto":
@@ -189,10 +160,11 @@ def permutation_pvalues(
 
     def batch_stats(flips):
         if layout is None:
-            z = np.zeros(flips.shape[0])
-            return _stat_arrays(z.astype(np.int64), z.astype(np.int64), moments)
-        r1, r2 = _counts_for_flips(layout, flips)
-        return _stat_arrays(r1, r2, moments)
+            r1 = r2 = np.zeros(flips.shape[0], dtype=np.int64)
+        else:
+            r1, r2 = _counts_for_flips(layout, flips)
+        z_m, z_s, z_g = standardize(r1, r2, moments)
+        return z_m, None if z_s is None else np.abs(z_s), z_g
 
     obs_m, obs_s, obs_g = (
         None if a is None else float(a[0]) for a in batch_stats(identity)
@@ -241,12 +213,10 @@ def permutation_pvalues(
 
 
 def exhaustive_edge_counts(
-    cross: CrossPairGraph,
-    index: PooledIndex,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+    cross: CrossPairGraph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD
 ):
     """(r1, r2) for every one of the 2^n swaps, in code order."""
-    n = index.n
+    n = cross.n_pairs
     if n > exact_threshold:
         raise ExactTooLargeError(
             f"exhaustive enumeration limited to n <= {exact_threshold}, got {n}"
@@ -262,12 +232,10 @@ def exhaustive_edge_counts(
 
 
 def exhaustive_null_moments(
-    cross: CrossPairGraph,
-    index: PooledIndex,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+    cross: CrossPairGraph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD
 ) -> NullMoments:
     """Empirical moments over the full swap set (population normalization)."""
-    r1, r2 = exhaustive_edge_counts(cross, index, exact_threshold)
+    r1, r2 = exhaustive_edge_counts(cross, exact_threshold)
     r1 = r1.astype(float)
     r2 = r2.astype(float)
     e1 = r1.mean()
@@ -345,7 +313,6 @@ def run_oracle_validation(
 
     for i in range(instances):
         n = int(rng.integers(min_pairs, max_pairs + 1))
-        index = PooledIndex(n)
         if i % 2 == 0:
             d = int(rng.integers(1, max_dim + 1))
             k = int(rng.integers(1, min(max_k, n) + 1))
@@ -361,21 +328,20 @@ def run_oracle_validation(
                     k -= 1
         else:
             graph = SimilarityGraph(_random_cross_pair_edges(rng, n), 2 * n)
-        cross = extract_cross_pair_graph(graph, index)
+        cross = extract_cross_pair_graph(graph)
 
-        analytic = null_moments(cross, index)
-        empirical = exhaustive_null_moments(cross, index)
+        analytic = null_moments(cross)
+        empirical = exhaustive_null_moments(cross)
         for field in ("e_r1", "var_r1", "cov_r12", "var_sum", "var_diff"):
             err = abs(getattr(analytic, field) - getattr(empirical, field))
             max_moment_error = max(max_moment_error, err)
 
-        if condition_diagnostics(cross, index).q3 != census_q3(cross, index):
+        if condition_diagnostics(cross).q3 != census_q3(cross):
             census_mismatches += 1
 
-        r1, r2 = exhaustive_edge_counts(cross, index)
-        z_m, abs_z_s, z_g = _stat_arrays(r1, r2, analytic)
-        if z_m is not None and abs_z_s is not None and z_g is not None:
-            residual = float(np.max(np.abs(z_g - z_m**2 - abs_z_s**2)))
+        z_m, z_s, z_g = standardize(*exhaustive_edge_counts(cross), analytic)
+        if z_m is not None and z_s is not None and z_g is not None:
+            residual = float(np.max(np.abs(z_g - z_m**2 - z_s**2)))
             max_residual = max(max_residual, residual)
 
     return OracleSummary(

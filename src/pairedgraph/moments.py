@@ -2,9 +2,9 @@
 
 The tests condition on the similarity graph and randomize only over the 2^n
 within-pair label swaps (each pair sends one node to sample 1 and the other
-to sample 2, independently and uniformly). Within-pair edges can never join
-two equal labels, so every moment is a function of the cross-pair subgraph
-alone. Four integer summaries of that subgraph determine everything:
+to sample 2, independently and uniformly; ``_partner`` states which pooled
+nodes form a pair). Within-pair edges can never join two equal labels, so
+every moment is a function of the cross-pair subgraph alone. Four integer summaries of that subgraph determine everything:
 
 * ``m``    number of cross-pair edges,
 * ``deg``  per-node degree vector,
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PooledIndex, ValidationError
+from .core import ValidationError
 from .graph import SimilarityGraph
 
 __all__ = [
@@ -103,19 +103,26 @@ class ConditionDiagnostics:
     ab_ratio: float | None
 
 
-def extract_cross_pair_graph(
-    graph: SimilarityGraph, index: PooledIndex
-) -> CrossPairGraph:
+def _partner(n_nodes: int) -> np.ndarray:
+    """Partner of every pooled node.
+
+    The pooled matrix holds the n pairs as rows 0..n-1 (first sample, x)
+    followed by rows n..2n-1 (second sample, y), so node i is paired with
+    node i +/- n. The observed labeling puts nodes below n in sample 1.
+    """
+    return (np.arange(n_nodes) + n_nodes // 2) % n_nodes
+
+
+def extract_cross_pair_graph(graph: SimilarityGraph) -> CrossPairGraph:
     """Drop within-pair edges and compute degrees and the c1/c2 pair counts."""
-    n_nodes = index.n_nodes
-    if graph.n_nodes != n_nodes:
+    n_nodes = graph.n_nodes
+    if n_nodes < 2 or n_nodes % 2:
         raise ValidationError(
-            f"graph has {graph.n_nodes} nodes but index expects {n_nodes}"
+            f"graph has {n_nodes} nodes; paired data need an even count of at "
+            "least 2"
         )
     edges = graph.edges
-    if edges.size and edges.max() >= n_nodes:
-        raise ValidationError("edge endpoint out of range for the pooled index")
-    partner = index.partner_array()
+    partner = _partner(n_nodes)
     if edges.size:
         keep = partner[edges[:, 0]] != edges[:, 1]
         edges = edges[keep]
@@ -155,10 +162,8 @@ def _q_and_s(cross: CrossPairGraph) -> tuple[int, int]:
     return q, s
 
 
-def null_moments(cross: CrossPairGraph, index: PooledIndex) -> NullMoments:
+def null_moments(cross: CrossPairGraph) -> NullMoments:
     """Closed-form moments of (R1, R2); exact binary fractions."""
-    if cross.n_nodes != index.n_nodes:
-        raise ValidationError("cross-pair graph does not match the pooled index")
     q, s = _q_and_s(cross)
     return NullMoments(
         e_r1=cross.n_edges / 4.0,
@@ -169,18 +174,14 @@ def null_moments(cross: CrossPairGraph, index: PooledIndex) -> NullMoments:
     )
 
 
-def condition_diagnostics(
-    cross: CrossPairGraph, index: PooledIndex
-) -> ConditionDiagnostics:
+def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
     """Pair-neighborhood sizes and the two variance numerators."""
-    if cross.n_nodes != index.n_nodes:
-        raise ValidationError("cross-pair graph does not match the pooled index")
     q, s = _q_and_s(cross)
     m = cross.n_edges
     if m == 0:
         return ConditionDiagnostics(0, 0, 0, None)
 
-    partner = index.partner_array()
+    partner = _partner(cross.n_nodes)
     incident: list[list[int]] = [[] for _ in range(cross.n_nodes)]
     for eid, (a, b) in enumerate(cross.edges):
         incident[a].append(eid)
@@ -207,7 +208,7 @@ def condition_diagnostics(
     )
 
 
-def census_q3(cross: CrossPairGraph, index: PooledIndex) -> int:
+def census_q3(cross: CrossPairGraph) -> int:
     """Recompute q3 by brute-force census over pairs of pairs.
 
     Every cross-pair edge joins exactly two pairs, so grouping edges by the
@@ -220,11 +221,9 @@ def census_q3(cross: CrossPairGraph, index: PooledIndex) -> int:
     and the grand total equals m + 2*c1 - 2*c2. This is an independent path
     to q3 used as a cross-check.
     """
-    if cross.n_nodes != index.n_nodes:
-        raise ValidationError("cross-pair graph does not match the pooled index")
     if cross.n_edges == 0:
         return 0
-    n = index.n
+    n = cross.n_pairs
     u, v = cross.edges[:, 0], cross.edges[:, 1]
     pu = np.where(u < n, u, u - n)
     pv = np.where(v < n, v, v - n)

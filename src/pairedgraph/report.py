@@ -7,29 +7,23 @@ so repeated runs with the same seed are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import secrets
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._version import __version__
 from .baselines import HotellingReport, hotelling_paired
-from .core import PairedSample, ValidationError, identity_assignment, pool
-from .graph import DistanceMatrix, build_kmst, distance_matrix
+from .core import PairedSample, ValidationError, pool
+from .graph import DistanceMatrix, distance_matrix
 from .inference import (
     DEFAULT_EXACT_THRESHOLD,
     PValueReport,
     asymptotic_pvalues,
     permutation_pvalues,
 )
-from .moments import (
-    ConditionDiagnostics,
-    NullMoments,
-    census_q3,
-    condition_diagnostics,
-    extract_cross_pair_graph,
-    null_moments,
-)
-from .stats import EdgeCounts, StatisticTriple, count_edges, statistics
+from .moments import ConditionDiagnostics, NullMoments, census_q3, condition_diagnostics
+from .stats import EdgeCounts, StatisticTriple, graph_test
 
 __all__ = ["TestReport", "run_paired_test", "report_json", "report_csv"]
 
@@ -132,47 +126,48 @@ def run_paired_test(
 
     ``distances`` overrides metric-based computation (precomputed matrices
     must cover all 2n pooled nodes, x rows first). ``pvalue`` selects
-    "asymptotic", "permutation", or "both".
+    "asymptotic", "permutation", or "both". A permutation run without a
+    ``seed`` draws one and reports it, so it can be replayed.
     """
     if pvalue not in ("asymptotic", "permutation", "both"):
         raise ValidationError(f"unknown pvalue choice {pvalue!r}")
     sample = PairedSample(x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float))
     if sample.n < 2:
         raise ValidationError("need at least 2 pairs to run a test")
-    pooled, index = pool(sample)
+    if seed is None and pvalue != "asymptotic":
+        seed = secrets.randbits(63)
 
     if distances is not None:
-        if distances.n_nodes != index.n_nodes:
+        if distances.n_nodes != 2 * sample.n:
             raise ValidationError(
                 f"distance matrix covers {distances.n_nodes} nodes but the "
-                f"pooled sample has {index.n_nodes}"
+                f"pooled sample has {2 * sample.n}"
             )
         dist = distances
         metric = distances.metric
     else:
-        dist = distance_matrix(pooled, metric)
+        dist = distance_matrix(pool(sample), metric)
 
-    graph = build_kmst(dist, k)
-    cross = extract_cross_pair_graph(graph, index)
-    moments = null_moments(cross, index)
-    counts = count_edges(cross, identity_assignment(index))
-    triple = statistics(counts, moments)
+    graph, cross, moments, counts, triple = graph_test(dist, k)
 
     pvals = PValueReport()
-    if pvalue in ("asymptotic", "both"):
-        pvals = pvals.merged_with(asymptotic_pvalues(triple))
     if pvalue in ("permutation", "both"):
-        pvals = pvals.merged_with(
-            permutation_pvalues(
-                cross,
-                index,
-                moments,
-                n_perm=n_perm,
-                seed=seed,
-                mode="exact" if exact else "auto",
-                exact_threshold=exact_threshold,
-                strict=strict,
-            )
+        pvals = permutation_pvalues(
+            cross,
+            moments,
+            n_perm=n_perm,
+            seed=seed,
+            mode="exact" if exact else "auto",
+            exact_threshold=exact_threshold,
+            strict=strict,
+        )
+    if pvalue in ("asymptotic", "both"):
+        asym = asymptotic_pvalues(triple)
+        pvals = replace(
+            pvals,
+            p_m_asym=asym.p_m_asym,
+            p_s_asym=asym.p_s_asym,
+            p_g_asym=asym.p_g_asym,
         )
 
     hotelling = hotelling_paired(sample) if baseline_ht else None
@@ -186,8 +181,8 @@ def run_paired_test(
         n_cross_pair_edges=cross.n_edges,
         counts=counts,
         moments=moments,
-        diagnostics=condition_diagnostics(cross, index),
-        census_q3=census_q3(cross, index),
+        diagnostics=condition_diagnostics(cross),
+        census_q3=census_q3(cross),
         stats=triple,
         pvalues=pvals,
         hotelling=hotelling,

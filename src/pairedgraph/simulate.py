@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import SingularCovarianceError, hotelling_paired
-from .core import PairedSample, ValidationError, identity_assignment, pool
-from .graph import build_kmst, distance_matrix
+from .core import PairedSample, ValidationError, pool
+from .graph import distance_matrix
 from .inference import asymptotic_pvalues
-from .moments import extract_cross_pair_graph, null_moments
-from .stats import count_edges, statistics
+from .stats import graph_test
 
 __all__ = [
     "GeneratorSpec",
@@ -209,12 +208,7 @@ def _run_study(
     for rep in range(replicates):
         rng = np.random.default_rng([seed, rep])
         sample = _generate(spec, rng, factor)
-        pooled, index = pool(sample)
-        cross = extract_cross_pair_graph(
-            build_kmst(distance_matrix(pooled), k), index
-        )
-        moments = null_moments(cross, index)
-        triple = statistics(count_edges(cross, identity_assignment(index)), moments)
+        *_, triple = graph_test(distance_matrix(pool(sample)), k)
         pvals = asymptotic_pvalues(triple)
         for test, p in (
             ("z_m", pvals.p_m_asym),

@@ -1,4 +1,8 @@
-"""Edge counts for a given labeling and the three standardized statistics.
+"""The staged graph test and its three standardized statistics.
+
+``graph_test`` runs k-MST -> cross-pair graph -> null moments -> observed
+counts -> statistics. ``standardize`` is the one formula that turns counts
+into statistics, for the observed labeling and for every permuted one.
 
 z_m targets mean alternatives (rejects for large values), z_s targets scale
 alternatives (rejects for large |z_s|), and z_g is the quadratic form in
@@ -13,16 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, ValidationError
-from .moments import CrossPairGraph, NullMoments
+from .graph import DistanceMatrix, SimilarityGraph, build_kmst
+from .moments import (
+    CrossPairGraph,
+    NullMoments,
+    extract_cross_pair_graph,
+    null_moments,
+)
 
 __all__ = [
     "VARIANCE_FLOOR",
     "DegenerateNullError",
     "EdgeCounts",
     "StatisticTriple",
-    "count_edges",
+    "standardize",
     "statistics",
+    "graph_test",
 ]
 
 # Null variances are integer multiples of 1/4, so anything below this floor
@@ -67,21 +77,27 @@ class StatisticTriple:
         return value
 
 
-def count_edges(cross: CrossPairGraph, assignment: Assignment) -> EdgeCounts:
-    """One pass over the cross-pair edges."""
-    labels = assignment.labels
-    if labels.size != cross.n_nodes:
-        raise ValidationError(
-            f"assignment has {labels.size} labels but the graph has "
-            f"{cross.n_nodes} nodes"
-        )
-    if cross.n_edges == 0:
-        return EdgeCounts(0, 0)
-    lu = labels[cross.edges[:, 0]]
-    lv = labels[cross.edges[:, 1]]
-    r1 = int(np.count_nonzero((lu == 1) & (lv == 1)))
-    r2 = int(np.count_nonzero((lu == 2) & (lv == 2)))
-    return EdgeCounts(r1, r2)
+def standardize(r1, r2, moments: NullMoments):
+    """Signed (z_m, z_s, z_g) for counts or arrays of counts.
+
+    A direction whose null variance vanishes gives None instead of a value.
+    """
+    var_sum = moments.var_sum
+    var_diff = moments.var_diff
+    det = var_sum * var_diff / 4.0  # = det(sigma_r)
+
+    z_m = z_s = z_g = None
+    if var_sum >= VARIANCE_FLOOR:
+        z_m = (r1 + r2 - 2.0 * moments.e_r1) / math.sqrt(var_sum)
+    if var_diff >= VARIANCE_FLOOR:
+        z_s = (r1 - r2) / math.sqrt(var_diff)
+    if det >= VARIANCE_FLOOR:
+        v1 = r1 - moments.e_r1
+        v2 = r2 - moments.e_r1
+        z_g = (
+            moments.var_r1 * (v1 * v1 + v2 * v2) - 2.0 * moments.cov_r12 * v1 * v2
+        ) / det
+    return z_m, z_s, z_g
 
 
 def statistics(counts: EdgeCounts, moments: NullMoments) -> StatisticTriple:
@@ -90,26 +106,27 @@ def statistics(counts: EdgeCounts, moments: NullMoments) -> StatisticTriple:
     Statistics whose null variance vanishes are returned as None and named in
     ``degenerate_flags`` rather than silently propagating NaN.
     """
-    flags = []
-    var_sum = moments.var_sum
-    var_diff = moments.var_diff
-    det = var_sum * var_diff / 4.0  # = det(sigma_r)
+    z = standardize(counts.r1, counts.r2, moments)
+    flags = tuple(flag for flag, value in zip("msg", z) if value is None)
+    return StatisticTriple(*z, degenerate_flags=flags)
 
-    z_m = z_s = z_g = None
-    if var_sum >= VARIANCE_FLOOR:
-        z_m = (counts.r1 + counts.r2 - 2.0 * moments.e_r1) / math.sqrt(var_sum)
-    else:
-        flags.append("m")
-    if var_diff >= VARIANCE_FLOOR:
-        z_s = (counts.r1 - counts.r2) / math.sqrt(var_diff)
-    else:
-        flags.append("s")
-    if det >= VARIANCE_FLOOR:
-        v1 = counts.r1 - moments.e_r1
-        v2 = counts.r2 - moments.e_r1
-        z_g = (
-            moments.var_r1 * (v1 * v1 + v2 * v2) - 2.0 * moments.cov_r12 * v1 * v2
-        ) / det
-    else:
-        flags.append("g")
-    return StatisticTriple(z_m=z_m, z_s=z_s, z_g=z_g, degenerate_flags=tuple(flags))
+
+def graph_test(
+    dist: DistanceMatrix, k: int
+) -> tuple[SimilarityGraph, CrossPairGraph, NullMoments, EdgeCounts, StatisticTriple]:
+    """The k-MST test on the pooled distances, stage by stage.
+
+    Returns the graph, its cross-pair part, the null moments, the observed
+    counts and their statistics. Observed labels put nodes below n in sample
+    1; edges are stored with u < v, so R1 counts edges with v < n and R2
+    edges with u >= n.
+    """
+    graph = build_kmst(dist, k)
+    cross = extract_cross_pair_graph(graph)
+    moments = null_moments(cross)
+    n = cross.n_pairs
+    counts = EdgeCounts(
+        r1=int(np.count_nonzero(cross.edges[:, 1] < n)),
+        r2=int(np.count_nonzero(cross.edges[:, 0] >= n)),
+    )
+    return graph, cross, moments, counts, statistics(counts, moments)

@@ -18,13 +18,13 @@ import pytest
 from pairedgraph import (
     DimensionError,
     PairedSample,
-    PooledIndex,
     SimilarityGraph,
     build_kmst,
     census_q3,
     condition_diagnostics,
     distance_matrix,
     extract_cross_pair_graph,
+    graph_test,
     hotelling_paired,
     load_scenario,
     null_moments,
@@ -40,8 +40,7 @@ from pairedgraph.graph import DisconnectedError
 from pairedgraph.simulate import _cov_factor, _generate
 from pairedgraph.stats import EdgeCounts
 from pairedgraph.inference import asymptotic_pvalues
-from pairedgraph.core import identity_assignment, pool
-from pairedgraph.stats import count_edges
+from pairedgraph.core import pool
 
 from oracles import empirical_moments, enumerate_counts, random_cross_edges
 
@@ -63,7 +62,6 @@ def oracle_instances():
     instances = []
     while len(instances) < 200:
         n = int(rng.integers(2, 11))
-        index = PooledIndex(n)
         if len(instances) % 2 == 0:
             d = int(rng.integers(1, 6))
             k = int(rng.integers(1, min(3, n) + 1))
@@ -74,16 +72,15 @@ def oracle_instances():
                 graph = build_kmst(dist, 1)
         else:
             graph = SimilarityGraph(random_cross_edges(rng, n), 2 * n)
-        cross = extract_cross_pair_graph(graph, index)
-        instances.append((n, index, cross))
+        instances.append((n, extract_cross_pair_graph(graph)))
     return instances
 
 
 def test_c1_oracle_moment_equivalence(oracle_instances):
     start = time.monotonic()
     worst = 0.0
-    for n, index, cross in oracle_instances:
-        analytic = null_moments(cross, index)
+    for n, cross in oracle_instances:
+        analytic = null_moments(cross)
         brute = empirical_moments(cross.edges, n)
         for field in MOMENT_FIELDS:
             worst = max(worst, abs(getattr(analytic, field) - brute[field]))
@@ -101,8 +98,8 @@ def test_c2_quadratic_identity_and_zero_correlation(oracle_instances):
     worst_identity = 0.0
     worst_corr = 0.0
     checked = 0
-    for n, index, cross in oracle_instances:
-        moments = null_moments(cross, index)
+    for n, cross in oracle_instances:
+        moments = null_moments(cross)
         if moments.var_sum < 1e-12 or moments.var_diff < 1e-12:
             continue
         table = enumerate_counts(cross.edges, n)
@@ -129,8 +126,8 @@ def test_c2_quadratic_identity_and_zero_correlation(oracle_instances):
 def test_c3_census_cross_check(oracle_instances):
     mismatches = sum(
         1
-        for _, index, cross in oracle_instances
-        if census_q3(cross, index) != condition_diagnostics(cross, index).q3
+        for _, cross in oracle_instances
+        if census_q3(cross) != condition_diagnostics(cross).q3
     )
     announce(
         3,
@@ -220,15 +217,10 @@ def test_c6_permutation_asymptotic_agreement():
     for rep in range(100):
         rng = np.random.default_rng([1, rep])
         sample = _generate(spec, rng, factor)
-        pooled, index = pool(sample)
-        cross = extract_cross_pair_graph(
-            build_kmst(distance_matrix(pooled), 5), index
-        )
-        moments = null_moments(cross, index)
-        triple = statistics(count_edges(cross, identity_assignment(index)), moments)
+        _, cross, moments, _, triple = graph_test(distance_matrix(pool(sample)), 5)
         asym = asymptotic_pvalues(triple)
         perm = permutation_pvalues(
-            cross, index, moments, n_perm=10_000, seed=rep, mode="monte-carlo"
+            cross, moments, n_perm=10_000, seed=rep, mode="monte-carlo"
         )
         for key, a, p in (
             ("m", asym.p_m_asym, perm.p_m_perm),

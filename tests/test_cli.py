@@ -127,10 +127,9 @@ def test_duplicated_y_section_maximal_mean_statistic(tmp_path):
     assert data["p_values"]["m_asymptotic"] < 0.02
 
     # cross-check the exact p against the test-side rational enumerator
-    from pairedgraph import build_mst, distance_matrix, extract_cross_pair_graph, pool
+    from pairedgraph import build_kmst, distance_matrix, extract_cross_pair_graph, pool
 
-    pooled, index = pool(sample)
-    cross = extract_cross_pair_graph(build_mst(distance_matrix(pooled)), index)
+    cross = extract_cross_pair_graph(build_kmst(distance_matrix(pool(sample)), 1))
     want_m, _, _ = exact_pvalues(cross.edges, 8)
     assert data["p_values"]["m_permutation"] == float(want_m)
 
@@ -147,8 +146,7 @@ def test_precomputed_metric_roundtrip(pairs_csv, tmp_path):
     from pairedgraph import distance_matrix, pool, read_paired_csv
 
     sample = read_paired_csv(pairs_csv)
-    pooled, _ = pool(sample)
-    dist = distance_matrix(pooled)
+    dist = distance_matrix(pool(sample))
     dist_path = tmp_path / "dist.csv"
     rows = [",".join(format(v, ".17g") for v in row) for row in dist.dist]
     dist_path.write_text("\n".join(rows) + "\n")
@@ -211,6 +209,21 @@ def test_baseline_ht_inapplicable_exits_2(tmp_path):
     proc = run_cli("test", "--input", str(path), "--k", "2", "--baseline-ht")
     assert proc.returncode == 2
     assert "n > d" in proc.stderr
+
+
+def test_singular_difference_covariance_exits_2(tmp_path):
+    # n > d, but difference column 4 duplicates column 3
+    rng = np.random.default_rng(45)
+    x = rng.standard_normal((30, 4))
+    y = rng.standard_normal((30, 4))
+    x[:, 3] = y[:, 3] + (x[:, 2] - y[:, 2])
+    path = tmp_path / "singular.csv"
+    write_paired_csv(PairedSample(x=x, y=y), path)
+    proc = run_cli("test", "--input", str(path), "--baseline-ht")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "singular" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_zero_permutations_exits_2(tmp_path):

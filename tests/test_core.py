@@ -3,68 +3,45 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pairedgraph import (
-    Assignment,
-    PairedSample,
-    PooledIndex,
-    ValidationError,
-    identity_assignment,
-    pool,
-)
+from pairedgraph import PairedSample, ValidationError, pool
+from pairedgraph.moments import _partner
 
 
 def test_pool_single_pair():
     sample = PairedSample(x=[[1.0, 2.0]], y=[[3.0, 4.0]])
-    pooled, index = pool(sample)
-    assert pooled.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert index.partner(0) == 1
-    assert index.partner(1) == 0
+    assert pool(sample).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert _partner(2).tolist() == [1, 0]
 
 
 def test_pool_two_pairs_partner_map():
     sample = PairedSample(x=np.zeros((2, 1)), y=np.ones((2, 1)))
-    _, index = pool(sample)
-    assert [index.partner(i) for i in range(4)] == [2, 3, 0, 1]
+    assert pool(sample).shape == (4, 1)
+    assert _partner(4).tolist() == [2, 3, 0, 1]
 
 
 def test_pool_row_layout_round_trips():
     rng = np.random.default_rng(0)
     sample = PairedSample(x=rng.standard_normal((7, 3)), y=rng.standard_normal((7, 3)))
-    pooled, _ = pool(sample)
+    pooled = pool(sample)
     assert np.array_equal(pooled[:7], sample.x)
     assert np.array_equal(pooled[7:], sample.y)
+    assert not pooled.flags.writeable
 
 
 @given(st.integers(min_value=1, max_value=50))
 def test_partner_is_an_involution(n):
-    index = PooledIndex(n)
-    for i in range(2 * n):
-        assert index.partner(i) != i
-        assert index.partner(index.partner(i)) == i
-    partner = index.partner_array()
+    partner = _partner(2 * n)
+    assert (partner != np.arange(2 * n)).all()
     assert np.array_equal(partner[partner], np.arange(2 * n))
-
-
-def test_identity_assignment_layout():
-    assert identity_assignment(PooledIndex(2)).labels.tolist() == [1, 1, 2, 2]
-    assert identity_assignment(PooledIndex(1)).labels.tolist() == [1, 2]
 
 
 @given(st.integers(min_value=1, max_value=30))
 def test_identity_assignment_is_balanced(n):
-    labels = identity_assignment(PooledIndex(n)).labels
-    assert np.count_nonzero(labels == 1) == n
-    assert np.count_nonzero(labels == 2) == n
-
-
-def test_assignment_rejects_equal_pair_labels():
-    with pytest.raises(ValidationError):
-        Assignment(np.array([1, 1, 1, 2], dtype=np.int8))
-
-
-def test_assignment_rejects_bad_values():
-    with pytest.raises(ValidationError):
-        Assignment(np.array([1, 0, 2, 3], dtype=np.int8))
+    # the observed labeling (nodes below n in sample 1) gives every pair one
+    # node in each sample
+    in_first = np.arange(2 * n) < n
+    assert np.count_nonzero(in_first) == n
+    assert (in_first != in_first[_partner(2 * n)]).all()
 
 
 def test_sample_rejects_nan_with_location():

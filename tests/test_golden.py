@@ -1,0 +1,101 @@
+"""Golden output bytes: a fixed seed must keep giving the same report.
+
+Each case renders one run to text and compares its sha256 with a digest
+recorded from an earlier version of the library. A refactor that changes
+any byte of a report or a study CSV fails here; a change meant to alter the
+output must say so and record the new digests.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pairedgraph import (
+    load_scenario,
+    report_csv,
+    report_json,
+    results_to_csv,
+    run_paired_test,
+    run_scenario,
+)
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def monte_carlo_both():
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal((40, 25))
+    y = 0.8 * x + 0.6 * rng.standard_normal((40, 25)) + 0.1
+    return run_paired_test(
+        x, y, pvalue="both", n_perm=999, baseline_ht=True, seed=3
+    )
+
+
+def exact_n12():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((12, 4))
+    y = x + 0.5 * rng.standard_normal((12, 4)) + 0.4
+    return run_paired_test(x, y, k=3, pvalue="both", exact=True, seed=0)
+
+
+def manhattan_integer_grid():
+    # coordinates in {0, 1, 2}: almost every distance ties with many others,
+    # so the k-MST is decided by the (weight, u, v) tie-break
+    rng = np.random.default_rng(7)
+    x = rng.integers(0, 3, size=(30, 4)).astype(float)
+    y = rng.integers(0, 3, size=(30, 4)).astype(float)
+    return run_paired_test(
+        x, y, k=3, metric="manhattan", pvalue="both", n_perm=999, seed=11
+    )
+
+
+def degenerate_mean():
+    # four pairs on a 1-D integer grid whose MST leaves Var(R1 + R2) = 0,
+    # so z_m and z_g are flagged as undefined
+    rng = np.random.default_rng(6)
+    n = int(rng.integers(3, 6))
+    x = rng.integers(0, 3, size=(n, 1)).astype(float)
+    y = rng.integers(0, 3, size=(n, 1)).astype(float)
+    return run_paired_test(x, y, k=1, metric="manhattan", pvalue="both", seed=1)
+
+
+GOLDEN = {
+    "monte_carlo_both_json": (
+        lambda: report_json(monte_carlo_both()),
+        "b07e430e9272bbe38aacb6abe28755508480ea2bf8d56c85a8af079abb37ea1b",
+    ),
+    "exact_n12_json": (
+        lambda: report_json(exact_n12()),
+        "bc30c036b710467fcec94a6f9fc3865100190c4d22785e453b50db2b97530d49",
+    ),
+    "exact_n12_csv": (
+        lambda: report_csv(exact_n12()),
+        "f1d775f686b981cd788efc0eab1805b0b684679c4c5a9976e9f4a4024c5481f6",
+    ),
+    "manhattan_integer_grid_json": (
+        lambda: report_json(manhattan_integer_grid()),
+        "783299b19582419e5b358233344aff804307ab50922c8e2f462d82fc745fb1b1",
+    ),
+    "degenerate_mean_json": (
+        lambda: report_json(degenerate_mean()),
+        "0781c2216a2a439d56c2e588623baa9d28ef4558e4e8514daeb8d447eea57ca4",
+    ),
+    "smoke_size_small_csv": (
+        lambda: results_to_csv(
+            [run_scenario(load_scenario(DEMOS / "scenarios" / "smoke_size_small.cfg"))]
+        ),
+        "1d0d747632cace4dca67fab441d866b138dd4e2ecebc1782e0f16e08653abb52",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_bytes(case):
+    render, want = GOLDEN[case]
+    assert sha256(render()) == want

@@ -6,13 +6,16 @@ from pairedgraph import (
     SimilarityGraph,
     ValidationError,
     build_kmst,
-    build_mst,
     distance_matrix,
-    graph_weight,
     precomputed_distance,
 )
 
 from oracles import min_spanning_weight
+
+
+def weight(graph, dist):
+    """Total distance over the graph's edges."""
+    return float(dist.dist[graph.edges[:, 0], graph.edges[:, 1]].sum())
 
 
 def test_euclidean_three_four_five():
@@ -56,15 +59,15 @@ def test_precomputed_validation():
 
 def test_mst_two_nodes():
     d = distance_matrix(np.array([[0.0], [1.0]]))
-    tree = build_mst(d)
+    tree = build_kmst(d, 1)
     assert tree.edges.tolist() == [[0, 1]]
 
 
 def test_mst_path_on_a_line():
     d = distance_matrix(np.array([[0.0], [1.0], [3.0]]))
-    tree = build_mst(d)
+    tree = build_kmst(d, 1)
     assert tree.edges.tolist() == [[0, 1], [1, 2]]
-    assert graph_weight(tree, d) == 3.0
+    assert weight(tree, d) == 3.0
 
 
 def test_mst_matches_exhaustive_enumeration():
@@ -72,17 +75,22 @@ def test_mst_matches_exhaustive_enumeration():
     for trial in range(8):
         points = rng.standard_normal((6, 3))
         d = distance_matrix(points)
-        tree = build_mst(d)
+        tree = build_kmst(d, 1)
         assert tree.n_edges == 5
-        assert graph_weight(tree, d) == pytest.approx(
+        assert weight(tree, d) == pytest.approx(
             min_spanning_weight(d.dist), abs=1e-10
         )
 
 
 def test_kmst_k1_equals_mst():
+    # k = 1 is the minimum spanning tree, and it is the first level of k = 2
     rng = np.random.default_rng(5)
     d = distance_matrix(rng.standard_normal((8, 2)))
-    assert np.array_equal(build_kmst(d, 1).edges, build_mst(d).edges)
+    tree = build_kmst(d, 1)
+    assert tree.n_edges == 7
+    assert weight(tree, d) == pytest.approx(min_spanning_weight(d.dist), abs=1e-10)
+    two = {tuple(e) for e in build_kmst(d, 2).edges.tolist()}
+    assert {tuple(e) for e in tree.edges.tolist()} <= two
 
 
 def test_kmst_k2_on_k4_is_the_complete_graph():
@@ -118,12 +126,6 @@ def test_kmst_k_too_large_rejected():
         build_kmst(d, 0)
 
 
-def test_excluded_edges_respected():
-    d = distance_matrix(np.array([[0.0], [1.0], [3.0]]))
-    tree = build_mst(d, excluded=[(0, 1)])
-    assert tree.edges.tolist() == [[0, 2], [1, 2]]
-
-
 def test_disconnection_reports_level():
     # A star MST at level 1 empties the hub, so level 2 cannot span.
     center = np.zeros((1, 2))
@@ -138,15 +140,15 @@ def test_row_permutation_invariance():
     rng = np.random.default_rng(21)
     points = rng.standard_normal((10, 4))
     d = distance_matrix(points)
-    base = build_mst(d)
+    base = build_kmst(d, 1)
     perm = rng.permutation(10)
-    permuted = build_mst(distance_matrix(points[perm]))
+    permuted = build_kmst(distance_matrix(points[perm]), 1)
     # map edges back through the permutation
     mapped = perm[permuted.edges]
     mapped = np.sort(mapped, axis=1)
     mapped = mapped[np.lexsort((mapped[:, 1], mapped[:, 0]))]
-    assert graph_weight(base, d) == pytest.approx(
-        graph_weight(permuted, distance_matrix(points[perm])), rel=1e-12
+    assert weight(base, d) == pytest.approx(
+        weight(permuted, distance_matrix(points[perm])), rel=1e-12
     )
     # distances are almost surely distinct, so the edge sets agree too
     assert np.array_equal(mapped, base.edges)
@@ -156,7 +158,7 @@ def test_tie_break_is_lexicographic():
     # four identical points: every distance ties at zero, so the tree is
     # decided purely by (weight, u, v) ordering: a star at node 0
     d = distance_matrix(np.zeros((4, 3)))
-    tree = build_mst(d)
+    tree = build_kmst(d, 1)
     assert tree.edges.tolist() == [[0, 1], [0, 2], [0, 3]]
     # the star exhausts node 0, so a second level cannot span
     with pytest.raises(DisconnectedError) as err:

@@ -6,7 +6,6 @@ import pytest
 
 from pairedgraph import (
     ExactTooLargeError,
-    PooledIndex,
     ValidationError,
     asymptotic_pvalues,
     build_kmst,
@@ -68,9 +67,8 @@ def test_asymptotic_pvalue_conventions():
 
 
 def setup_instance(edges, n):
-    index = PooledIndex(n)
     cross = cross_of(edges, n)
-    return cross, index, null_moments(cross, index)
+    return cross, null_moments(cross)
 
 
 def test_exact_pvalues_match_independent_enumeration():
@@ -78,8 +76,8 @@ def test_exact_pvalues_match_independent_enumeration():
     for _ in range(20):
         n = int(rng.integers(2, 8))
         edges = random_cross_edges(rng, n)
-        cross, index, moments = setup_instance(edges, n)
-        report = permutation_pvalues(cross, index, moments, mode="exact")
+        cross, moments = setup_instance(edges, n)
+        report = permutation_pvalues(cross, moments, mode="exact")
         want_m, want_s, want_g = exact_pvalues(edges, n)
         assert report.mode == "exact"
         assert report.n_permutations == 2**n
@@ -97,8 +95,8 @@ def test_exact_pvalues_match_independent_enumeration():
 def test_exact_pvalues_n3_hand_enumeration():
     # n = 3 pairs, a fixed 3-edge graph: compare against the rational oracle
     edges = np.array([[0, 1], [1, 2], [0, 5]])
-    cross, index, moments = setup_instance(edges, 3)
-    report = permutation_pvalues(cross, index, moments, mode="exact")
+    cross, moments = setup_instance(edges, 3)
+    report = permutation_pvalues(cross, moments, mode="exact")
     want_m, want_s, want_g = exact_pvalues(edges, 3)
     assert report.p_m_perm == float(want_m)
     assert report.p_s_perm == float(want_s)
@@ -107,9 +105,9 @@ def test_exact_pvalues_n3_hand_enumeration():
 
 def test_strict_flag_counts_only_larger():
     edges = np.array([[0, 1], [1, 2], [0, 5]])
-    cross, index, moments = setup_instance(edges, 3)
-    loose = permutation_pvalues(cross, index, moments, mode="exact")
-    strict = permutation_pvalues(cross, index, moments, mode="exact", strict=True)
+    cross, moments = setup_instance(edges, 3)
+    loose = permutation_pvalues(cross, moments, mode="exact")
+    strict = permutation_pvalues(cross, moments, mode="exact", strict=True)
     want = exact_pvalues(edges, 3, strict=True)
     assert strict.p_m_perm == float(want[0])
     # the identity swap always ties with itself, so >= includes it
@@ -119,8 +117,8 @@ def test_strict_flag_counts_only_larger():
 def test_maximal_statistic_has_minimal_exact_pvalue():
     # identity labeling attains the maximum of R1 + R2 on a same-section path
     edges = np.array([[0, 1], [1, 2]])
-    cross, index, moments = setup_instance(edges, 3)
-    report = permutation_pvalues(cross, index, moments, mode="exact")
+    cross, moments = setup_instance(edges, 3)
+    report = permutation_pvalues(cross, moments, mode="exact")
     table = enumerate_counts(edges, 3)
     best = max(a + b for a, b in table)
     ties = sum(1 for a, b in table if a + b == best)
@@ -132,10 +130,10 @@ def test_monte_carlo_close_to_exact():
     rng = np.random.default_rng(8)
     n = 12
     edges = random_cross_edges(rng, n, prob=0.2)
-    cross, index, moments = setup_instance(edges, n)
-    exact = permutation_pvalues(cross, index, moments, mode="exact")
+    cross, moments = setup_instance(edges, n)
+    exact = permutation_pvalues(cross, moments, mode="exact")
     mc = permutation_pvalues(
-        cross, index, moments, mode="monte-carlo", n_perm=100_000, seed=123
+        cross, moments, mode="monte-carlo", n_perm=100_000, seed=123
     )
     assert mc.mode == "monte-carlo"
     assert mc.rng_algorithm == "PCG64"
@@ -155,9 +153,9 @@ def test_monte_carlo_reproducible_and_never_zero():
     rng = np.random.default_rng(10)
     n = 25
     edges = random_cross_edges(rng, n, prob=0.1)
-    cross, index, moments = setup_instance(edges, n)
-    a = permutation_pvalues(cross, index, moments, n_perm=2000, seed=77)
-    b = permutation_pvalues(cross, index, moments, n_perm=2000, seed=77)
+    cross, moments = setup_instance(edges, n)
+    a = permutation_pvalues(cross, moments, n_perm=2000, seed=77)
+    b = permutation_pvalues(cross, moments, n_perm=2000, seed=77)
     assert a == b
     assert a.mode == "monte-carlo"
     for p in (a.p_m_perm, a.p_s_perm, a.p_g_perm):
@@ -169,40 +167,40 @@ def test_exact_mode_threshold():
     rng = np.random.default_rng(11)
     n = 25
     edges = random_cross_edges(rng, n, prob=0.1)
-    cross, index, moments = setup_instance(edges, n)
+    cross, moments = setup_instance(edges, n)
     with pytest.raises(ExactTooLargeError):
-        permutation_pvalues(cross, index, moments, mode="exact")
+        permutation_pvalues(cross, moments, mode="exact")
     with pytest.raises(ExactTooLargeError):
-        exhaustive_edge_counts(cross, index)
+        exhaustive_edge_counts(cross)
 
 
 def test_exact_pvalues_invariant_under_pair_relabeling():
     rng = np.random.default_rng(14)
     n = 6
     edges = random_cross_edges(rng, n)
-    cross, index, moments = setup_instance(edges, n)
-    base = permutation_pvalues(cross, index, moments, mode="exact")
+    cross, moments = setup_instance(edges, n)
+    base = permutation_pvalues(cross, moments, mode="exact")
 
     perm = rng.permutation(n)
     node_map = np.concatenate([perm, perm + n])
-    cross2, _, moments2 = setup_instance(node_map[edges], n)
-    relabeled = permutation_pvalues(cross2, index, moments2, mode="exact")
+    cross2, moments2 = setup_instance(node_map[edges], n)
+    relabeled = permutation_pvalues(cross2, moments2, mode="exact")
     assert base.p_m_perm == relabeled.p_m_perm
     assert base.p_s_perm == relabeled.p_s_perm
     assert base.p_g_perm == relabeled.p_g_perm
 
 
 def test_degenerate_statistics_propagate_none():
-    cross, index, moments = setup_instance(np.array([[0, 1], [2, 3]]), 2)
-    report = permutation_pvalues(cross, index, moments, mode="exact")
+    cross, moments = setup_instance(np.array([[0, 1], [2, 3]]), 2)
+    report = permutation_pvalues(cross, moments, mode="exact")
     assert report.p_m_perm is not None
     assert report.p_s_perm is None
     assert report.p_g_perm is None
 
 
 def test_empty_graph_all_undefined():
-    cross, index, moments = setup_instance(np.empty((0, 2), dtype=np.int64), 3)
-    report = permutation_pvalues(cross, index, moments, mode="exact")
+    cross, moments = setup_instance(np.empty((0, 2), dtype=np.int64), 3)
+    report = permutation_pvalues(cross, moments, mode="exact")
     assert report.p_m_perm is None
     assert report.p_s_perm is None
     assert report.p_g_perm is None
@@ -220,12 +218,9 @@ def test_exact_test_is_valid_under_null():
     n = 10
     for _ in range(replicates):
         base = rng.standard_normal((2 * n, 2))
-        index = PooledIndex(n)
-        cross = extract_cross_pair_graph(
-            build_kmst(distance_matrix(base), 1), index
-        )
-        moments = null_moments(cross, index)
-        report = permutation_pvalues(cross, index, moments, mode="exact")
+        cross = extract_cross_pair_graph(build_kmst(distance_matrix(base), 1))
+        moments = null_moments(cross)
+        report = permutation_pvalues(cross, moments, mode="exact")
         for key, p in (
             ("m", report.p_m_perm),
             ("s", report.p_s_perm),
@@ -248,13 +243,12 @@ def test_exact_enumeration_at_chunked_scale():
     rng = np.random.default_rng(91)
     n = 18
     pooled = rng.standard_normal((2 * n, 3))
-    index = PooledIndex(n)
-    cross = extract_cross_pair_graph(build_kmst(distance_matrix(pooled), 2), index)
-    moments = null_moments(cross, index)
-    exact = permutation_pvalues(cross, index, moments, mode="exact")
+    cross = extract_cross_pair_graph(build_kmst(distance_matrix(pooled), 2))
+    moments = null_moments(cross)
+    exact = permutation_pvalues(cross, moments, mode="exact")
     assert exact.n_permutations == 2**18
     mc = permutation_pvalues(
-        cross, index, moments, mode="monte-carlo", n_perm=40_000, seed=5
+        cross, moments, mode="monte-carlo", n_perm=40_000, seed=5
     )
     for got, want in (
         (mc.p_m_perm, exact.p_m_perm),
@@ -282,8 +276,8 @@ def test_oracle_validation_argument_errors():
 
 def test_statistics_match_manual_standardization():
     edges = np.array([[0, 1], [1, 2], [0, 5]])
-    cross, index, moments = setup_instance(edges, 3)
-    r1, r2 = exhaustive_edge_counts(cross, index)
+    cross, moments = setup_instance(edges, 3)
+    r1, r2 = exhaustive_edge_counts(cross)
     table = enumerate_counts(edges, 3)
     assert list(zip(r1.tolist(), r2.tolist())) == table
     triple = statistics(EdgeCounts(int(r1[0]), int(r2[0])), moments)

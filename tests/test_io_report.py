@@ -135,3 +135,15 @@ def test_run_paired_test_argument_validation():
         run_paired_test(x[:1], y[:1])  # single pair cannot be tested
     with pytest.raises(ValidationError, match="nodes"):
         run_paired_test(x, y, distances=precomputed_distance(np.zeros((4, 4))))
+
+
+def test_library_permutation_run_draws_a_replayable_seed():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((25, 3))
+    y = x + rng.standard_normal((25, 3))
+    first = run_paired_test(x, y, pvalue="permutation", n_perm=300)
+    assert first.seed is not None
+    assert first.pvalues.seed == first.seed
+    replay = run_paired_test(x, y, pvalue="permutation", n_perm=300, seed=first.seed)
+    assert report_json(replay) == report_json(first)
+    assert run_paired_test(x, y).seed is None  # asymptotic only: nothing to replay

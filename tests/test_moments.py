@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pairedgraph import (
-    PooledIndex,
     SimilarityGraph,
+    ValidationError,
     build_kmst,
     census_q3,
     condition_diagnostics,
@@ -18,15 +18,12 @@ from oracles import empirical_moments, enumerate_counts, random_cross_edges
 # Values frozen from the brute-force swap enumeration in oracles.py:
 #   edges {(0,1),(2,3)}: R1 over the 4 swaps is (1,0,0,1), R2 likewise
 #   edges {(0,1),(0,3)}: R1 is (1,0,1,0) and R2 (0,1,0,1)
-IDX2 = PooledIndex(2)
 DISJOINT = np.array([[0, 1], [2, 3]])
 SHARED = np.array([[0, 1], [0, 3]])
 
 
 def cross_of(edges, n):
-    return extract_cross_pair_graph(
-        SimilarityGraph(np.asarray(edges), 2 * n), PooledIndex(n)
-    )
+    return extract_cross_pair_graph(SimilarityGraph(np.asarray(edges), 2 * n))
 
 
 def test_extract_drops_within_pair_edges():
@@ -52,7 +49,7 @@ def test_extract_within_pair_only_graph_is_empty():
 
 
 def test_moments_disjoint_mirror_pair():
-    m = null_moments(cross_of(DISJOINT, 2), IDX2)
+    m = null_moments(cross_of(DISJOINT, 2))
     assert m.e_r1 == 0.5
     assert m.var_r1 == 0.25
     assert m.cov_r12 == 0.25
@@ -61,7 +58,7 @@ def test_moments_disjoint_mirror_pair():
 
 
 def test_moments_shared_endpoint():
-    m = null_moments(cross_of(SHARED, 2), IDX2)
+    m = null_moments(cross_of(SHARED, 2))
     assert m.e_r1 == 0.5
     assert m.var_r1 == 0.25
     assert m.cov_r12 == -0.25
@@ -70,12 +67,12 @@ def test_moments_shared_endpoint():
 
 
 def test_moments_empty_graph():
-    m = null_moments(cross_of([[0, 2]], 2), IDX2)
+    m = null_moments(cross_of([[0, 2]], 2))
     assert (m.e_r1, m.var_r1, m.cov_r12, m.var_sum, m.var_diff) == (0, 0, 0, 0, 0)
 
 
 def test_sigma_r_shape_and_symmetry():
-    m = null_moments(cross_of(DISJOINT, 2), IDX2)
+    m = null_moments(cross_of(DISJOINT, 2))
     sigma = m.sigma_r
     assert sigma.shape == (2, 2)
     assert sigma[0, 0] == sigma[1, 1] == m.var_r1
@@ -83,7 +80,7 @@ def test_sigma_r_shape_and_symmetry():
 
 
 def test_diagnostics_disjoint_mirror_pair():
-    diag = condition_diagnostics(cross_of(DISJOINT, 2), IDX2)
+    diag = condition_diagnostics(cross_of(DISJOINT, 2))
     assert diag.sum_ab == 8  # each edge sees both edges one and two steps away
     assert diag.sum_degdiff_sq == 0
     assert diag.q3 == 4
@@ -91,14 +88,14 @@ def test_diagnostics_disjoint_mirror_pair():
 
 
 def test_diagnostics_shared_endpoint():
-    diag = condition_diagnostics(cross_of(SHARED, 2), IDX2)
+    diag = condition_diagnostics(cross_of(SHARED, 2))
     assert diag.q3 == 0
     assert diag.sum_degdiff_sq == 4
     assert diag.ab_ratio is None
 
 
 def test_diagnostics_empty():
-    diag = condition_diagnostics(cross_of([[0, 2]], 2), IDX2)
+    diag = condition_diagnostics(cross_of([[0, 2]], 2))
     assert (diag.sum_ab, diag.sum_degdiff_sq, diag.q3) == (0, 0, 0)
     assert diag.ab_ratio is None
 
@@ -108,17 +105,16 @@ def test_diagnostics_identities_on_random_graphs():
     for _ in range(25):
         n = int(rng.integers(2, 8))
         cross = cross_of(random_cross_edges(rng, n), n)
-        index = PooledIndex(n)
-        m = null_moments(cross, index)
-        diag = condition_diagnostics(cross, index)
+        m = null_moments(cross)
+        diag = condition_diagnostics(cross)
         assert diag.sum_degdiff_sq == pytest.approx(4 * m.var_diff, abs=0)
         assert diag.q3 == pytest.approx(4 * m.var_sum, abs=0)
 
 
 def test_census_examples():
-    assert census_q3(cross_of(DISJOINT, 2), IDX2) == 4
-    assert census_q3(cross_of(SHARED, 2), IDX2) == 0
-    assert census_q3(cross_of([[0, 2]], 2), IDX2) == 0
+    assert census_q3(cross_of(DISJOINT, 2)) == 4
+    assert census_q3(cross_of(SHARED, 2)) == 0
+    assert census_q3(cross_of([[0, 2]], 2)) == 0
 
 
 def test_census_equals_q3_on_random_graphs():
@@ -126,8 +122,7 @@ def test_census_equals_q3_on_random_graphs():
     for _ in range(40):
         n = int(rng.integers(2, 9))
         cross = cross_of(random_cross_edges(rng, n), n)
-        index = PooledIndex(n)
-        assert census_q3(cross, index) == condition_diagnostics(cross, index).q3
+        assert census_q3(cross) == condition_diagnostics(cross).q3
 
 
 def test_oracle_equivalence_random_graphs():
@@ -135,8 +130,7 @@ def test_oracle_equivalence_random_graphs():
     for _ in range(30):
         n = int(rng.integers(2, 9))
         edges = random_cross_edges(rng, n)
-        index = PooledIndex(n)
-        got = null_moments(cross_of(edges, n), index)
+        got = null_moments(cross_of(edges, n))
         want = empirical_moments(edges, n)
         assert got.e_r1 == pytest.approx(want["e_r1"], abs=1e-10)
         assert got.var_r1 == pytest.approx(want["var_r1"], abs=1e-10)
@@ -168,9 +162,8 @@ def test_oracle_equivalence_kmst_graphs():
         d = int(rng.integers(1, 4))
         pooled = rng.standard_normal((2 * n, d))
         graph = build_kmst(distance_matrix(pooled), int(rng.integers(1, 3)))
-        index = PooledIndex(n)
-        cross = extract_cross_pair_graph(graph, index)
-        got = null_moments(cross, index)
+        cross = extract_cross_pair_graph(graph)
+        got = null_moments(cross)
         want = empirical_moments(cross.edges, n)
         for field in ("e_r1", "var_r1", "cov_r12", "var_sum", "var_diff"):
             assert getattr(got, field) == pytest.approx(want[field], abs=1e-10)
@@ -180,19 +173,22 @@ def test_moments_invariant_under_pair_relabeling():
     rng = np.random.default_rng(41)
     n = 6
     edges = random_cross_edges(rng, n)
-    index = PooledIndex(n)
-    base = null_moments(cross_of(edges, n), index)
+    base = null_moments(cross_of(edges, n))
 
     perm = rng.permutation(n)
     node_map = np.concatenate([perm, perm + n])
     remapped = node_map[edges]
-    relabeled = null_moments(cross_of(remapped, n), index)
+    relabeled = null_moments(cross_of(remapped, n))
     assert base == relabeled
 
 
 def test_extract_rejects_mismatched_sizes():
-    from pairedgraph import ValidationError
+    # a single node cannot hold one pair
+    with pytest.raises(ValidationError, match="least 2"):
+        extract_cross_pair_graph(SimilarityGraph(np.empty((0, 2)), 1))
 
-    graph = SimilarityGraph(np.array([[0, 1]]), 4)
-    with pytest.raises(ValidationError):
-        extract_cross_pair_graph(graph, PooledIndex(3))
+
+def test_extract_rejects_odd_node_count():
+    graph = SimilarityGraph(np.array([[0, 1]]), 5)
+    with pytest.raises(ValidationError, match="even"):
+        extract_cross_pair_graph(graph)

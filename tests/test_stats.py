@@ -2,51 +2,71 @@ import numpy as np
 import pytest
 
 from pairedgraph import (
-    Assignment,
     DegenerateNullError,
     EdgeCounts,
     NullMoments,
-    PooledIndex,
-    count_edges,
-    identity_assignment,
+    distance_matrix,
+    exhaustive_edge_counts,
+    graph_test,
     null_moments,
+    standardize,
     statistics,
 )
 
 from oracles import empirical_moments, enumerate_counts, random_cross_edges
-from test_moments import DISJOINT, IDX2, SHARED, cross_of
+from test_moments import DISJOINT, SHARED, cross_of
 
 
 def moments_of(edges, n):
-    return null_moments(cross_of(edges, n), PooledIndex(n))
+    return null_moments(cross_of(edges, n))
 
 
 def test_count_edges_identity():
-    counts = count_edges(cross_of(DISJOINT, 2), identity_assignment(IDX2))
-    assert (counts.r1, counts.r2) == (1, 1)
+    # swap code 0 is the observed labeling: nodes below n in sample 1
+    r1, r2 = exhaustive_edge_counts(cross_of(DISJOINT, 2))
+    assert (r1[0], r2[0]) == (1, 1)
+    rng = np.random.default_rng(3)
+    for n in (2, 5, 9):
+        pooled = rng.standard_normal((2 * n, 2))
+        _, cross, _, counts, _ = graph_test(distance_matrix(pooled), 2)
+        assert (counts.r1, counts.r2) == enumerate_counts(cross.edges, n)[0]
 
 
 def test_count_edges_swapped_pair():
-    counts = count_edges(cross_of(DISJOINT, 2), Assignment(np.int8([1, 2, 2, 1])))
-    assert (counts.r1, counts.r2) == (0, 0)
+    # code 2 swaps pair 1 only: labels (1, 2, 2, 1)
+    r1, r2 = exhaustive_edge_counts(cross_of(DISJOINT, 2))
+    assert (r1[2], r2[2]) == (0, 0)
 
 
 def test_count_edges_empty_graph():
-    counts = count_edges(cross_of([[0, 2]], 2), identity_assignment(IDX2))
-    assert (counts.r1, counts.r2) == (0, 0)
+    r1, r2 = exhaustive_edge_counts(cross_of([[0, 2]], 2))
+    assert r1.tolist() == r2.tolist() == [0, 0, 0, 0]
 
 
 def test_count_edges_matches_enumeration_oracle():
     rng = np.random.default_rng(2)
     n = 5
     edges = random_cross_edges(rng, n)
-    cross = cross_of(edges, n)
-    table = enumerate_counts(edges, n)
-    for code in range(2**n):
-        first = [2 if (code >> p) & 1 else 1 for p in range(n)]
-        labels = np.int8(first + [3 - lab for lab in first])
-        counts = count_edges(cross, Assignment(labels))
-        assert (counts.r1, counts.r2) == table[code]
+    r1, r2 = exhaustive_edge_counts(cross_of(edges, n))
+    assert list(zip(r1.tolist(), r2.tolist())) == enumerate_counts(edges, n)
+
+
+def test_standardize_is_statistics_elementwise():
+    # the batch and the single-count paths give the same bits, so the
+    # permutation tie rule compares like with like
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(2, 8))
+        edges = random_cross_edges(rng, n)
+        m = moments_of(edges, n)
+        r1, r2 = exhaustive_edge_counts(cross_of(edges, n))
+        batch = standardize(r1, r2, m)
+        for pos in range(r1.size):
+            one = statistics(EdgeCounts(int(r1[pos]), int(r2[pos])), m)
+            for got, want in zip(batch, (one.z_m, one.z_s, one.z_g)):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert float(got[pos]) == want
 
 
 def test_statistics_centered_case_is_zero():
