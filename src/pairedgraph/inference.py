@@ -20,8 +20,9 @@ from .graph import DisconnectedError, SimilarityGraph, build_kmst, distance_matr
 from .moments import (
     CrossPairGraph,
     NullMoments,
+    _pair_id,
+    _q_and_s,
     census_q3,
-    condition_diagnostics,
     extract_cross_pair_graph,
     null_moments,
 )
@@ -99,12 +100,7 @@ def _flip_layout(cross: CrossPairGraph, n: int):
     below n, 1 otherwise) equals its pair's bit.
     """
     u, v = cross.edges[:, 0], cross.edges[:, 1]
-    return (
-        np.where(u < n, u, u - n),
-        u >= n,
-        np.where(v < n, v, v - n),
-        v >= n,
-    )
+    return _pair_id(u, n), u >= n, _pair_id(v, n), v >= n
 
 
 def _counts_for_flips(layout, flips: np.ndarray):
@@ -336,7 +332,7 @@ def run_oracle_validation(
             err = abs(getattr(analytic, field) - getattr(empirical, field))
             max_moment_error = max(max_moment_error, err)
 
-        if condition_diagnostics(cross).q3 != census_q3(cross):
+        if _q_and_s(cross)[0] != census_q3(cross):
             census_mismatches += 1
 
         z_m, z_s, z_g = standardize(*exhaustive_edge_counts(cross), analytic)

@@ -32,6 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import ValidationError
 from .graph import SimilarityGraph
@@ -90,11 +91,11 @@ class NullMoments:
 class ConditionDiagnostics:
     """Raw graph quantities governing the quality of the normal limit.
 
-    ``sum_ab`` adds, over every cross-pair edge e, the product of the sizes of
-    its one-step and two-step pair-neighborhoods (edges touching e's endpoints
-    or their partners, and the union of those edges' neighborhoods). Small
-    ``ab_ratio`` = sum_ab / q3^1.5 indicates a healthy normal approximation.
-    No pass/fail verdict is attached: these are reported raw.
+    A cross-pair edge e joins two pairs pa and pb. ``sum_ab`` adds, over every
+    such edge, |A_e| * |B_e|: A_e holds the edges touching pa or pb, B_e the
+    edges touching N[pa] | N[pb], the closed pair-neighborhoods (the union of
+    A_f over f in A_e). Small ``ab_ratio`` = sum_ab / q3^1.5 indicates a
+    healthy normal approximation. No pass/fail verdict is attached.
     """
 
     sum_ab: int
@@ -111,6 +112,11 @@ def _partner(n_nodes: int) -> np.ndarray:
     node i +/- n. The observed labeling puts nodes below n in sample 1.
     """
     return (np.arange(n_nodes) + n_nodes // 2) % n_nodes
+
+
+def _pair_id(nodes: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Pair of each pooled node: node i and its partner both map to i mod n."""
+    return nodes % n_pairs
 
 
 def extract_cross_pair_graph(graph: SimilarityGraph) -> CrossPairGraph:
@@ -175,36 +181,34 @@ def null_moments(cross: CrossPairGraph) -> NullMoments:
 
 
 def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
-    """Pair-neighborhood sizes and the two variance numerators."""
+    """Pair-neighborhood sizes and the two variance numerators.
+
+    With pairs contracted to pair-nodes p = node mod n, W the symmetric edge
+    multiplicity matrix and dp = W 1: |A_e| = dp[pa] + dp[pb] - W[pa, pb] and
+    |B_e| = X dp - X W X' / 2, X the indicator row of N[pa] | N[pb]. Each link
+    {pa, pb} is evaluated once, weighted by W[pa, pb]; all in int64, O(m n).
+    """
     q, s = _q_and_s(cross)
-    m = cross.n_edges
-    if m == 0:
+    if cross.n_edges == 0:
         return ConditionDiagnostics(0, 0, 0, None)
 
-    partner = _partner(cross.n_nodes)
-    incident: list[list[int]] = [[] for _ in range(cross.n_nodes)]
-    for eid, (a, b) in enumerate(cross.edges):
-        incident[a].append(eid)
-        incident[b].append(eid)
+    n = cross.n_pairs
+    pu, pv = _pair_id(cross.edges[:, 0], n), _pair_id(cross.edges[:, 1], n)
+    rows, cols = np.concatenate([pu, pv]), np.concatenate([pv, pu])
+    w = sp.csr_matrix((np.ones_like(rows), (rows, cols)), shape=(n, n))
+    dp = np.bincount(rows, minlength=n)
+    key = np.minimum(pu, pv) * n + np.maximum(pu, pv)
+    links, w_link = np.unique(key, return_counts=True)
+    pa, pb = links // n, links % n
+    closed = (w + sp.identity(n, dtype=np.int64, format="csr")).sign()
+    x = (closed[pa] + closed[pb]).sign()
+    a = dp[pa] + dp[pb] - w_link
+    b = x @ dp - np.asarray(x.multiply(x @ w).sum(axis=1)).ravel() // 2
 
-    neighborhoods = []
-    for a, b in cross.edges:
-        ids = (
-            incident[a]
-            + incident[partner[a]]
-            + incident[b]
-            + incident[partner[b]]
-        )
-        neighborhoods.append(np.unique(np.array(ids, dtype=np.int64)))
-
-    sum_ab = 0
-    for hood in neighborhoods:
-        two_step = np.unique(np.concatenate([neighborhoods[f] for f in hood]))
-        sum_ab += hood.size * two_step.size
-
+    sum_ab = int(w_link @ (a * b))
     ratio = float(sum_ab / q**1.5) if q > 0 else None
     return ConditionDiagnostics(
-        sum_ab=int(sum_ab), sum_degdiff_sq=s, q3=q, ab_ratio=ratio
+        sum_ab=sum_ab, sum_degdiff_sq=s, q3=q, ab_ratio=ratio
     )
 
 
@@ -225,8 +229,7 @@ def census_q3(cross: CrossPairGraph) -> int:
         return 0
     n = cross.n_pairs
     u, v = cross.edges[:, 0], cross.edges[:, 1]
-    pu = np.where(u < n, u, u - n)
-    pv = np.where(v < n, v, v - n)
+    pu, pv = _pair_id(u, n), _pair_id(v, n)
     group = np.minimum(pu, pv) * n + np.maximum(pu, pv)
     order = np.argsort(group, kind="stable")
     total = 0

@@ -128,6 +128,38 @@ def all_spanning_trees(n_nodes):
         seq[pos] += 1
 
 
+def brute_sum_ab(cross):
+    """sum over cross-pair edges e of |A_e| * |B_e|, by explicit edge sets.
+
+    A_e holds the edges touching an endpoint of e or the partner of one; B_e
+    is the union of A_f over f in A_e. One np.unique per edge and per hood.
+    """
+    if cross.n_edges == 0:
+        return 0
+
+    partner = (np.arange(cross.n_nodes) + cross.n_pairs) % cross.n_nodes
+    incident = [[] for _ in range(cross.n_nodes)]
+    for eid, (a, b) in enumerate(cross.edges):
+        incident[a].append(eid)
+        incident[b].append(eid)
+
+    neighborhoods = []
+    for a, b in cross.edges:
+        ids = (
+            incident[a]
+            + incident[partner[a]]
+            + incident[b]
+            + incident[partner[b]]
+        )
+        neighborhoods.append(np.unique(np.array(ids, dtype=np.int64)))
+
+    sum_ab = 0
+    for hood in neighborhoods:
+        two_step = np.unique(np.concatenate([neighborhoods[f] for f in hood]))
+        sum_ab += hood.size * two_step.size
+    return int(sum_ab)
+
+
 def min_spanning_weight(dist):
     """Minimum spanning tree weight by exhaustive enumeration."""
     n = dist.shape[0]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pairedgraph import (
+    ConditionDiagnostics,
     SimilarityGraph,
     ValidationError,
     build_kmst,
@@ -11,8 +14,14 @@ from pairedgraph import (
     extract_cross_pair_graph,
     null_moments,
 )
+from pairedgraph.inference import _random_cross_pair_edges
 
-from oracles import empirical_moments, enumerate_counts, random_cross_edges
+from oracles import (
+    brute_sum_ab,
+    empirical_moments,
+    enumerate_counts,
+    random_cross_edges,
+)
 
 # Worked examples on n = 2 pairs (nodes 0..3, partners 0<->2, 1<->3).
 # Values frozen from the brute-force swap enumeration in oracles.py:
@@ -109,6 +118,89 @@ def test_diagnostics_identities_on_random_graphs():
         diag = condition_diagnostics(cross)
         assert diag.sum_degdiff_sq == pytest.approx(4 * m.var_diff, abs=0)
         assert diag.q3 == pytest.approx(4 * m.var_sum, abs=0)
+
+
+def assert_diagnostics_match_oracle(cross):
+    n = cross.n_pairs
+    diff = cross.deg[:n] - cross.deg[n:]
+    q = census_q3(cross)
+    sum_ab = brute_sum_ab(cross)
+    want = ConditionDiagnostics(
+        sum_ab=sum_ab,
+        sum_degdiff_sq=int(diff @ diff),
+        q3=q,
+        ab_ratio=float(sum_ab / q**1.5) if q > 0 else None,
+    )
+    got = condition_diagnostics(cross)
+    assert got == want
+    assert repr(got.ab_ratio) == repr(want.ab_ratio)
+
+
+def test_diagnostics_match_oracle_on_random_cross_pair_graphs():
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        n = int(rng.integers(2, 13))
+        assert_diagnostics_match_oracle(
+            cross_of(_random_cross_pair_edges(rng, n), n)
+        )
+
+
+def test_diagnostics_match_oracle_on_dense_multigraphs():
+    # with every cross-pair edge kept, two pairs share all 4 possible edges
+    rng = np.random.default_rng(67)
+    for prob in (0.8, 0.95, 1.0):
+        for n in range(2, 9):
+            cross = cross_of(random_cross_edges(rng, n, prob), n)
+            if prob == 1.0:
+                assert cross.n_edges == 2 * n * (2 * n - 2) // 2
+            assert_diagnostics_match_oracle(cross)
+
+
+def test_diagnostics_match_oracle_on_tie_heavy_kmst():
+    # coordinates in {0, 1, 2}: the k-MST is decided by the tie-break
+    rng = np.random.default_rng(71)
+    for metric in ("manhattan", "euclidean"):
+        for n in (4, 9, 16, 25):
+            pooled = rng.integers(0, 3, size=(2 * n, 3)).astype(float)
+            for k in (1, 2, 3):
+                graph = build_kmst(distance_matrix(pooled, metric), k)
+                assert_diagnostics_match_oracle(extract_cross_pair_graph(graph))
+
+
+def test_diagnostics_match_oracle_on_empty_and_one_pair_graphs():
+    for cross in (
+        cross_of(np.empty((0, 2)), 3),
+        cross_of([[0, 1]], 1),
+        cross_of(np.empty((0, 2)), 1),
+    ):
+        assert cross.n_edges == 0
+        assert_diagnostics_match_oracle(cross)
+        assert condition_diagnostics(cross) == ConditionDiagnostics(0, 0, 0, None)
+
+
+@given(st.data())
+def test_diagnostics_match_oracle_on_hypothesis_edge_sets(data):
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    iu, iv = np.triu_indices(2 * n, 1)
+    keep = np.array(
+        data.draw(st.lists(st.booleans(), min_size=iu.size, max_size=iu.size)),
+        dtype=bool,
+    )
+    assert_diagnostics_match_oracle(
+        cross_of(np.stack([iu[keep], iv[keep]], axis=1), n)
+    )
+
+
+@pytest.mark.slow
+def test_diagnostics_match_oracle_at_benchmark_size():
+    # n = 300 pairs in d = 100 with k = 5, the shape of a full paired test
+    rng = np.random.default_rng(73)
+    x = rng.standard_normal((300, 100))
+    y = 0.8 * x + 0.6 * rng.standard_normal((300, 100)) + 0.1
+    graph = build_kmst(distance_matrix(np.vstack([x, y])), 5)
+    cross = extract_cross_pair_graph(graph)
+    assert cross.n_edges > 2000
+    assert_diagnostics_match_oracle(cross)
 
 
 def test_census_examples():
