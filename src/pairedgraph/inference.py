@@ -1,11 +1,15 @@
 """Asymptotic and permutation p-values, plus the exhaustive small-n check.
 
 Permutation p-values condition on the graph: each of the 2^n within-pair
-swaps only changes the labels, so one iteration costs a single vectorized
-pass over the cross-pair edges. For n at or below the exact threshold all
-2^n swaps are enumerated; beyond it, swaps are sampled with a seeded PCG64
-generator and the add-one estimator (1 + #{stat >= observed}) / (1 + B) is
-reported, which can never return 0.
+swaps only changes the labels. Written as a spin vector sigma in {+1, -1}^n,
+a swap gives 2 (R1 - R2) = c' sigma and 4 (R1 + R2) = 2m + sigma' W sigma,
+a linear and a quadratic form built once per cross-pair graph
+(``_spin_form``), so a block of B swaps costs one B x n mat-vec and one
+B x n by n x n product. For n at or below the exact threshold all 2^n
+swaps are enumerated in code order; beyond it, swaps are sampled with a
+seeded PCG64 generator and the add-one estimator
+(1 + #{stat >= observed}) / (1 + B) is reported, which can never return 0.
+Both feed the same counter in blocks of ``_CHUNK`` swaps.
 """
 
 from __future__ import annotations
@@ -92,34 +96,61 @@ def asymptotic_pvalues(s: StatisticTriple) -> PValueReport:
     )
 
 
-def _flip_layout(cross: CrossPairGraph, n: int):
-    """Per-edge (pair id, side) lookups for the swap-vector representation.
+def _spin_dtype(n_edges: int):
+    """float32 while 2m <= 2^24, where it counts swaps exactly; else float64."""
+    return np.float32 if 2 * n_edges <= 1 << 24 else np.float64
 
-    A swap vector assigns each pair a bit; bit False keeps the first-sample
-    node labeled 1. A node is labeled 1 exactly when its side (0 for rows
-    below n, 1 otherwise) equals its pair's bit.
+
+def _spin_form(cross: CrossPairGraph):
+    """The swap null as a linear and a quadratic form in the pair spins.
+
+    A swap bit b_p becomes the spin sigma_p = 1 - 2 b_p. With side sign
+    t = +1 for nodes below n and -1 otherwise, node u carries label 1 exactly
+    when t_u sigma_p(u) = +1. Summing the edge indicators of R1 and R2 gives
+
+        2 (R1 - R2) = c' sigma,           c_p = deg(p) - deg(p + n),
+        4 (R1 + R2) = 2m + sigma' W sigma,
+
+    with W the symmetric pair matrix, W_pq += t_u t_v for each cross edge
+    (u, v); no cross edge joins a pair to itself, so W has a zero diagonal.
+    Returns (c, W, m).
+
+    Every partial sum of S @ c, S @ W and the row-wise sigma' (W sigma) is an
+    integer bounded by sum_p |c_p| <= 2m or sum_pq |W_pq| <= 2m, so floats
+    with a 24-bit significand hold it exactly in any summation order, BLAS or
+    FMA included, while 2m <= 2^24. ``_spin_dtype`` takes float32 under that
+    bound and float64 above it.
     """
+    n, m = cross.n_pairs, cross.n_edges
+    dtype = _spin_dtype(m)
     u, v = cross.edges[:, 0], cross.edges[:, 1]
-    return _pair_id(u, n), u >= n, _pair_id(v, n), v >= n
+    w = np.zeros((n, n), dtype=dtype)
+    side_product = np.where((u < n) == (v < n), 1, -1)
+    np.add.at(w, (_pair_id(u, n), _pair_id(v, n)), side_product)
+    w += w.T
+    c = (cross.deg[:n] - cross.deg[n:]).astype(dtype)
+    return c, w, m
 
 
-def _counts_for_flips(layout, flips: np.ndarray):
-    """(r1, r2) for a batch of swap vectors; one vectorized edge pass each."""
-    pu, su, pv, sv = layout
-    lu = flips[:, pu] == su
-    lv = flips[:, pv] == sv
-    r1 = (lu & lv).sum(axis=1)
-    r2 = (~lu & ~lv).sum(axis=1)
-    return r1.astype(np.int64), r2.astype(np.int64)
+def _spin_counts(spin, bits: np.ndarray):
+    """(r1, r2) for a block of swap bit rows: one mat-vec and one GEMM."""
+    c, w, m = spin
+    s = bits.astype(w.dtype)
+    s *= -2
+    s += 1
+    diff = (s @ c).astype(np.int64)  # 2 (R1 - R2)
+    total = 2 * m + np.einsum("ij,ij->i", s @ w, s).astype(np.int64)  # 4 (R1 + R2)
+    return (total + 2 * diff) // 8, (total - 2 * diff) // 8
 
 
 def _enumerated_flip_chunks(n: int):
+    """Every swap's bit row, in code order (bit p of the code is pair p)."""
     total = 1 << n
     step = min(total, _CHUNK)
     bits = np.arange(n, dtype=np.uint64)
     for start in range(0, total, step):
         codes = np.arange(start, min(start + step, total), dtype=np.uint64)
-        yield ((codes[:, None] >> bits) & np.uint64(1)).astype(bool)
+        yield ((codes[:, None] >> bits) & np.uint64(1)).astype(np.uint8)
 
 
 def permutation_pvalues(
@@ -151,15 +182,11 @@ def permutation_pvalues(
     if mode == "monte-carlo" and n_perm < 1:
         raise ValidationError("monte-carlo needs at least one permutation")
 
-    layout = _flip_layout(cross, n) if cross.n_edges else None
-    identity = np.zeros((1, n), dtype=bool)
+    spin = _spin_form(cross)
+    identity = np.zeros((1, n), dtype=np.uint8)
 
     def batch_stats(flips):
-        if layout is None:
-            r1 = r2 = np.zeros(flips.shape[0], dtype=np.int64)
-        else:
-            r1, r2 = _counts_for_flips(layout, flips)
-        z_m, z_s, z_g = standardize(r1, r2, moments)
+        z_m, z_s, z_g = standardize(*_spin_counts(spin, flips), moments)
         return z_m, None if z_s is None else np.abs(z_s), z_g
 
     obs_m, obs_s, obs_g = (
@@ -186,8 +213,7 @@ def permutation_pvalues(
         remaining = n_perm
         while remaining > 0:
             block = min(remaining, _CHUNK)
-            flips = rng.integers(0, 2, size=(block, n), dtype=np.uint8).astype(bool)
-            tally(flips)
+            tally(rng.integers(0, 2, size=(block, n), dtype=np.uint8))
             remaining -= block
         denom = n_perm + 1
         extra = 1
@@ -217,11 +243,8 @@ def exhaustive_edge_counts(
         raise ExactTooLargeError(
             f"exhaustive enumeration limited to n <= {exact_threshold}, got {n}"
         )
-    if cross.n_edges == 0:
-        z = np.zeros(1 << n, dtype=np.int64)
-        return z, z.copy()
-    layout = _flip_layout(cross, n)
-    parts = [_counts_for_flips(layout, flips) for flips in _enumerated_flip_chunks(n)]
+    spin = _spin_form(cross)
+    parts = [_spin_counts(spin, flips) for flips in _enumerated_flip_chunks(n)]
     r1 = np.concatenate([p[0] for p in parts])
     r2 = np.concatenate([p[1] for p in parts])
     return r1, r2

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from the definitions, without reusing
 the library's vectorized machinery: plain loops over all 2^n label swaps,
-Prufer-sequence enumeration of spanning trees, and exact rational arithmetic
-for permutation p-values.
+Prufer-sequence enumeration of spanning trees, exact rational arithmetic
+for permutation p-values, and a per-edge label gather for swap counts.
 """
 
 from fractions import Fraction
@@ -26,6 +26,23 @@ def enumerate_counts(edges, n):
         r2 = sum(1 for u, v in edges if labels[u] == 2 and labels[v] == 2)
         table.append((r1, r2))
     return table
+
+
+def gather_counts(cross, flips):
+    """(r1, r2) for a batch of swap bit rows, by looking up every edge's labels.
+
+    Bit 0 keeps the first-sample node of a pair labeled 1, so a node is
+    labeled 1 exactly when its side (rows below n are side 0) equals its
+    pair's bit. Four B x m boolean gathers per batch.
+    """
+    n = cross.n_pairs
+    flips = np.asarray(flips, dtype=bool)
+    u, v = cross.edges[:, 0], cross.edges[:, 1]
+    lu = flips[:, u % n] == (u >= n)
+    lv = flips[:, v % n] == (v >= n)
+    r1 = (lu & lv).sum(axis=1)
+    r2 = (~lu & ~lv).sum(axis=1)
+    return r1.astype(np.int64), r2.astype(np.int64)
 
 
 def empirical_moments(edges, n):

@@ -3,7 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from pairedgraph import inference
 from pairedgraph import (
     ExactTooLargeError,
     ValidationError,
@@ -19,10 +22,18 @@ from pairedgraph import (
     run_oracle_validation,
     statistics,
 )
+from pairedgraph.moments import _q_and_s
 from pairedgraph.stats import EdgeCounts
 
-from oracles import enumerate_counts, exact_pvalues, random_cross_edges
-from test_moments import cross_of
+from oracles import enumerate_counts, exact_pvalues, gather_counts, random_cross_edges
+from test_moments import (
+    cross_of,
+    dense_multigraphs,
+    draw_edge_set,
+    empty_and_one_pair_graphs,
+    random_pair_graphs,
+    tie_heavy_kmsts,
+)
 
 
 def hp_normal_sf(x):
@@ -284,3 +295,80 @@ def test_statistics_match_manual_standardization():
     assert triple.z_m == (r1[0] + r2[0] - 2 * moments.e_r1) / math.sqrt(
         moments.var_sum
     )
+
+
+def test_spin_dtype_switches_at_the_exactness_bound():
+    # float32 holds every integer up to 2^24 and loses 2^24 + 1
+    assert int(np.float32(2**24)) == 2**24
+    assert int(np.float32(2**24 + 1)) != 2**24 + 1
+    assert inference._spin_dtype(0) is np.float32
+    assert inference._spin_dtype(2**23) is np.float32
+    assert inference._spin_dtype(2**23 + 1) is np.float64
+
+
+def assert_counts_match_gather(cross):
+    n = cross.n_pairs
+    bits = np.random.default_rng(n).integers(0, 2, size=(257, n), dtype=np.uint8)
+    got = inference._spin_counts(inference._spin_form(cross), bits)
+    for g, w in zip(got, gather_counts(cross, bits)):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+    if n <= 10:
+        codes = np.arange(1 << n)[:, None]
+        table = gather_counts(cross, (codes >> np.arange(n)) & 1)
+        for g, w in zip(exhaustive_edge_counts(cross), table):
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [random_pair_graphs, dense_multigraphs, tie_heavy_kmsts, empty_and_one_pair_graphs],
+)
+def test_spin_counts_match_gather(family):
+    for cross in family():
+        assert_counts_match_gather(cross)
+
+
+@given(st.data())
+def test_spin_counts_match_gather_on_hypothesis_edge_sets(data):
+    assert_counts_match_gather(draw_edge_set(data))
+
+
+def test_spin_form_carries_the_null_moments():
+    # q = m + 2 c1 - 2 c2 = |W|_F^2 / 2 and s = |c|^2, so
+    # Var(R1 + R2) = q / 4 and Var(R1 - R2) = s / 4 read off the spin form
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        cross = cross_of(inference._random_cross_pair_edges(rng, n), n)
+        c, w, m = inference._spin_form(cross)
+        q, s = _q_and_s(cross)
+        assert m == cross.n_edges
+        assert int((w.astype(np.int64) ** 2).sum()) == 2 * q
+        assert int(c.astype(np.int64) @ c.astype(np.int64)) == s
+
+
+def shifted_kmst(n):
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((n, 3))
+    y = 0.5 * x + rng.standard_normal((n, 3)) + 0.4
+    return extract_cross_pair_graph(build_kmst(distance_matrix(np.vstack([x, y])), 3))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "n, kwargs",
+    [
+        (60, {"mode": "monte-carlo", "n_perm": 2 * inference._CHUNK + 1, "seed": 4}),
+        (15, {"mode": "exact"}),
+    ],
+)
+def test_pvalues_byte_equal_to_gather_path(monkeypatch, n, kwargs, strict):
+    cross = shifted_kmst(n)
+    moments = null_moments(cross)
+    spin = permutation_pvalues(cross, moments, strict=strict, **kwargs)
+    monkeypatch.setattr(inference, "_spin_form", lambda cross: cross)
+    monkeypatch.setattr(inference, "_spin_counts", gather_counts)
+    gather = permutation_pvalues(cross, moments, strict=strict, **kwargs)
+    assert repr(spin) == repr(gather)
+    assert 0 < spin.p_g_perm < 1

@@ -136,16 +136,14 @@ def assert_diagnostics_match_oracle(cross):
     assert repr(got.ab_ratio) == repr(want.ab_ratio)
 
 
-def test_diagnostics_match_oracle_on_random_cross_pair_graphs():
+def random_pair_graphs():
     rng = np.random.default_rng(61)
     for _ in range(60):
         n = int(rng.integers(2, 13))
-        assert_diagnostics_match_oracle(
-            cross_of(_random_cross_pair_edges(rng, n), n)
-        )
+        yield cross_of(_random_cross_pair_edges(rng, n), n)
 
 
-def test_diagnostics_match_oracle_on_dense_multigraphs():
+def dense_multigraphs():
     # with every cross-pair edge kept, two pairs share all 4 possible edges
     rng = np.random.default_rng(67)
     for prob in (0.8, 0.95, 1.0):
@@ -153,10 +151,10 @@ def test_diagnostics_match_oracle_on_dense_multigraphs():
             cross = cross_of(random_cross_edges(rng, n, prob), n)
             if prob == 1.0:
                 assert cross.n_edges == 2 * n * (2 * n - 2) // 2
-            assert_diagnostics_match_oracle(cross)
+            yield cross
 
 
-def test_diagnostics_match_oracle_on_tie_heavy_kmst():
+def tie_heavy_kmsts():
     # coordinates in {0, 1, 2}: the k-MST is decided by the tie-break
     rng = np.random.default_rng(71)
     for metric in ("manhattan", "euclidean"):
@@ -164,31 +162,54 @@ def test_diagnostics_match_oracle_on_tie_heavy_kmst():
             pooled = rng.integers(0, 3, size=(2 * n, 3)).astype(float)
             for k in (1, 2, 3):
                 graph = build_kmst(distance_matrix(pooled, metric), k)
-                assert_diagnostics_match_oracle(extract_cross_pair_graph(graph))
+                yield extract_cross_pair_graph(graph)
 
 
-def test_diagnostics_match_oracle_on_empty_and_one_pair_graphs():
+def empty_and_one_pair_graphs():
     for cross in (
         cross_of(np.empty((0, 2)), 3),
         cross_of([[0, 1]], 1),
         cross_of(np.empty((0, 2)), 1),
     ):
         assert cross.n_edges == 0
-        assert_diagnostics_match_oracle(cross)
-        assert condition_diagnostics(cross) == ConditionDiagnostics(0, 0, 0, None)
+        yield cross
 
 
-@given(st.data())
-def test_diagnostics_match_oracle_on_hypothesis_edge_sets(data):
+def draw_edge_set(data):
+    """A hypothesis-drawn subset of all node pairs on 1..7 pairs, as a cross graph."""
     n = data.draw(st.integers(min_value=1, max_value=7))
     iu, iv = np.triu_indices(2 * n, 1)
     keep = np.array(
         data.draw(st.lists(st.booleans(), min_size=iu.size, max_size=iu.size)),
         dtype=bool,
     )
-    assert_diagnostics_match_oracle(
-        cross_of(np.stack([iu[keep], iv[keep]], axis=1), n)
-    )
+    return cross_of(np.stack([iu[keep], iv[keep]], axis=1), n)
+
+
+def test_diagnostics_match_oracle_on_random_cross_pair_graphs():
+    for cross in random_pair_graphs():
+        assert_diagnostics_match_oracle(cross)
+
+
+def test_diagnostics_match_oracle_on_dense_multigraphs():
+    for cross in dense_multigraphs():
+        assert_diagnostics_match_oracle(cross)
+
+
+def test_diagnostics_match_oracle_on_tie_heavy_kmst():
+    for cross in tie_heavy_kmsts():
+        assert_diagnostics_match_oracle(cross)
+
+
+def test_diagnostics_match_oracle_on_empty_and_one_pair_graphs():
+    for cross in empty_and_one_pair_graphs():
+        assert_diagnostics_match_oracle(cross)
+        assert condition_diagnostics(cross) == ConditionDiagnostics(0, 0, 0, None)
+
+
+@given(st.data())
+def test_diagnostics_match_oracle_on_hypothesis_edge_sets(data):
+    assert_diagnostics_match_oracle(draw_edge_set(data))
 
 
 @pytest.mark.slow
