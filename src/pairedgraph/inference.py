@@ -24,7 +24,7 @@ from .graph import DisconnectedError, SimilarityGraph, build_kmst, distance_matr
 from .moments import (
     CrossPairGraph,
     NullMoments,
-    _pair_id,
+    _pair_links,
     _q_and_s,
     census_q3,
     extract_cross_pair_graph,
@@ -111,9 +111,9 @@ def _spin_form(cross: CrossPairGraph):
         2 (R1 - R2) = c' sigma,           c_p = deg(p) - deg(p + n),
         4 (R1 + R2) = 2m + sigma' W sigma,
 
-    with W the symmetric pair matrix, W_pq += t_u t_v for each cross edge
-    (u, v); no cross edge joins a pair to itself, so W has a zero diagonal.
-    Returns (c, W, m).
+    with W the symmetric pair matrix of the signed link weights of
+    ``moments._pair_links``: W_pq = W_qp = sum of t_u t_v over the cross edges
+    joining pairs p and q, and W has a zero diagonal. Returns (c, W, m).
 
     Every partial sum of S @ c, S @ W and the row-wise sigma' (W sigma) is an
     integer bounded by sum_p |c_p| <= 2m or sum_pq |W_pq| <= 2m, so floats
@@ -123,11 +123,10 @@ def _spin_form(cross: CrossPairGraph):
     """
     n, m = cross.n_pairs, cross.n_edges
     dtype = _spin_dtype(m)
-    u, v = cross.edges[:, 0], cross.edges[:, 1]
+    pa, pb, _, w_link = _pair_links(cross)
     w = np.zeros((n, n), dtype=dtype)
-    side_product = np.where((u < n) == (v < n), 1, -1)
-    np.add.at(w, (_pair_id(u, n), _pair_id(v, n)), side_product)
-    w += w.T
+    w[pa, pb] = w_link
+    w[pb, pa] = w_link
     c = (cross.deg[:n] - cross.deg[n:]).astype(dtype)
     return c, w, m
 

@@ -4,18 +4,16 @@ The tests condition on the similarity graph and randomize only over the 2^n
 within-pair label swaps (each pair sends one node to sample 1 and the other
 to sample 2, independently and uniformly; ``_partner`` states which pooled
 nodes form a pair). Within-pair edges can never join two equal labels, so
-every moment is a function of the cross-pair subgraph alone. Four integer summaries of that subgraph determine everything:
+every moment is a function of the cross-pair subgraph alone: of its edge
+count m, its degree vector deg and the signed weight w of each pair-pair
+link, the sum of t_u t_v over the link's edges with side sign t = +1 below
+n and -1 otherwise (``_pair_links``).
 
-* ``m``    number of cross-pair edges,
-* ``deg``  per-node degree vector,
-* ``c1``   unordered pairs of edges that are partner images of each other,
-           {(i, j), (i*, j*)},
-* ``c2``   unordered pairs of distinct edges sharing an endpoint whose other
-           endpoints are partners, {(i, j), (i, j*)}.
-
-Writing q = m + 2*c1 - 2*c2 and s = sum over pairs of the squared degree
-difference (deg(i) - deg(i*))^2, the counts R1 (both endpoints labeled 1)
-and R2 (both labeled 2) satisfy
+A swap is a spin vector sigma in {+1, -1}^n with 4 (R1 + R2) = 2m +
+sigma' W sigma, W the symmetric matrix of the link weights
+(``inference._spin_form``), and Var(sigma' W sigma) = 2 |W|_F^2. So with
+q = sum of w^2 over links and s = sum over pairs of (deg(i) - deg(i*))^2,
+the counts R1 (both endpoints labeled 1) and R2 (both labeled 2) satisfy
 
     E(R1) = E(R2)     = m / 4
     Var(R1) = Var(R2) = (q + s) / 16
@@ -50,12 +48,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CrossPairGraph:
-    """The similarity graph with within-pair edges removed, plus cached counts."""
+    """The similarity graph with within-pair edges removed, and its degrees."""
 
     edges: np.ndarray  # (m, 2) int64, u < v, no edge joins a node to its partner
     deg: np.ndarray  # degree of every pooled node
-    c1: int
-    c2: int
 
     @property
     def n_edges(self) -> int:
@@ -120,7 +116,7 @@ def _pair_id(nodes: np.ndarray, n_pairs: int) -> np.ndarray:
 
 
 def extract_cross_pair_graph(graph: SimilarityGraph) -> CrossPairGraph:
-    """Drop within-pair edges and compute degrees and the c1/c2 pair counts."""
+    """Drop within-pair edges and compute the node degrees."""
     n_nodes = graph.n_nodes
     if n_nodes < 2 or n_nodes % 2:
         raise ValidationError(
@@ -128,44 +124,36 @@ def extract_cross_pair_graph(graph: SimilarityGraph) -> CrossPairGraph:
             "least 2"
         )
     edges = graph.edges
-    partner = _partner(n_nodes)
-    if edges.size:
-        keep = partner[edges[:, 0]] != edges[:, 1]
-        edges = edges[keep]
-    edges = np.ascontiguousarray(edges, dtype=np.int64)
-
+    edges = edges[_partner(n_nodes)[edges[:, 0]] != edges[:, 1]]
     deg = np.bincount(edges.ravel(), minlength=n_nodes).astype(np.int64)
-
-    if edges.shape[0] == 0:
-        c1 = c2 = 0
-    else:
-        u, v = edges[:, 0], edges[:, 1]
-        keys = u * n_nodes + v
-        # c1: edge (u, v) whose partner image (u*, v*) is also present; each
-        # unordered pair of mirror-image edges is detected from both sides.
-        mu, mv = partner[u], partner[v]
-        mirror = np.minimum(mu, mv) * n_nodes + np.maximum(mu, mv)
-        c1 = int(np.isin(mirror, keys).sum()) // 2
-        # c2: directed incidences (i, j) such that (i, j*) is also an edge;
-        # each unordered pair {(i, j), (i, j*)} is detected from both of its
-        # j-side endpoints.
-        di = np.concatenate([u, v])
-        dj = np.concatenate([v, u])
-        dir_keys = di * n_nodes + dj
-        swapped = di * n_nodes + partner[dj]
-        c2 = int(np.isin(swapped, dir_keys).sum()) // 2
-
     edges.setflags(write=False)
     deg.setflags(write=False)
-    return CrossPairGraph(edges=edges, deg=deg, c1=c1, c2=c2)
+    return CrossPairGraph(edges=edges, deg=deg)
+
+
+def _pair_links(cross: CrossPairGraph):
+    """The cross edges contracted to pair-pair links {pa < pb}.
+
+    Returns int64 arrays (pa, pb, mult, w) with one entry per link: its edge
+    count and its signed weight w = sum of t_u t_v over its edges, side sign
+    t = +1 for nodes below n and -1 otherwise.
+    """
+    n = cross.n_pairs
+    u, v = cross.edges[:, 0], cross.edges[:, 1]
+    pu, pv = _pair_id(u, n), _pair_id(v, n)
+    key = np.minimum(pu, pv) * n + np.maximum(pu, pv)
+    links, link = np.unique(key, return_inverse=True)
+    same_side = (u < n) == (v < n)
+    plus = np.bincount(link[same_side], minlength=links.size)
+    minus = np.bincount(link[~same_side], minlength=links.size)
+    return links // n, links % n, plus + minus, plus - minus
 
 
 def _q_and_s(cross: CrossPairGraph) -> tuple[int, int]:
     n = cross.n_pairs
-    q = cross.n_edges + 2 * cross.c1 - 2 * cross.c2
+    w = _pair_links(cross)[3]
     diff = cross.deg[:n] - cross.deg[n:]
-    s = int(np.dot(diff, diff))
-    return q, s
+    return int(w @ w), int(diff @ diff)
 
 
 def null_moments(cross: CrossPairGraph) -> NullMoments:
@@ -183,23 +171,20 @@ def null_moments(cross: CrossPairGraph) -> NullMoments:
 def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
     """Pair-neighborhood sizes and the two variance numerators.
 
-    With pairs contracted to pair-nodes p = node mod n, W the symmetric edge
-    multiplicity matrix and dp = W 1: |A_e| = dp[pa] + dp[pb] - W[pa, pb] and
-    |B_e| = X dp - X W X' / 2, X the indicator row of N[pa] | N[pb]. Each link
-    {pa, pb} is evaluated once, weighted by W[pa, pb]; all in int64, O(m n).
+    With pairs contracted to pair-nodes by ``_pair_links``, W the symmetric
+    link multiplicity matrix and dp = W 1: |A_e| = dp[pa] + dp[pb] - W[pa, pb]
+    and |B_e| = X dp - X W X' / 2, X the indicator row of N[pa] | N[pb]. Each
+    link {pa, pb} is evaluated once, weighted by W[pa, pb]; all in int64.
     """
     q, s = _q_and_s(cross)
     if cross.n_edges == 0:
         return ConditionDiagnostics(0, 0, 0, None)
 
     n = cross.n_pairs
-    pu, pv = _pair_id(cross.edges[:, 0], n), _pair_id(cross.edges[:, 1], n)
-    rows, cols = np.concatenate([pu, pv]), np.concatenate([pv, pu])
-    w = sp.csr_matrix((np.ones_like(rows), (rows, cols)), shape=(n, n))
-    dp = np.bincount(rows, minlength=n)
-    key = np.minimum(pu, pv) * n + np.maximum(pu, pv)
-    links, w_link = np.unique(key, return_counts=True)
-    pa, pb = links // n, links % n
+    pa, pb, w_link, _ = _pair_links(cross)
+    rows, cols = np.concatenate([pa, pb]), np.concatenate([pb, pa])
+    w = sp.csr_matrix((np.tile(w_link, 2), (rows, cols)), shape=(n, n))
+    dp = cross.deg[:n] + cross.deg[n:]
     closed = (w + sp.identity(n, dtype=np.int64, format="csr")).sign()
     x = (closed[pa] + closed[pb]).sign()
     a = dp[pa] + dp[pb] - w_link
@@ -222,8 +207,8 @@ def census_q3(cross: CrossPairGraph) -> int:
         (#edges) + 2 * (#edge pairs sharing no node)
                  - 2 * (#edge pairs sharing a node)
 
-    and the grand total equals m + 2*c1 - 2*c2. This is an independent path
-    to q3 used as a cross-check.
+    and the grand total equals q, the sum of the squared link weights. This
+    is an independent path to q3 used as a cross-check.
     """
     if cross.n_edges == 0:
         return 0

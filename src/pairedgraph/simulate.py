@@ -124,6 +124,12 @@ def scalar_block_spec(
     sqrt(var1 * var2) * I keeps the per-coordinate cross correlation at
     rho12 for any variance scaling.
     """
+    if d < 1:
+        raise ValidationError(f"need d >= 1 dimensions, got {d}")
+    if not (0 <= var1 < math.inf and 0 <= var2 < math.inf):
+        raise ValidationError("var1 and var2 must be finite and non-negative")
+    if not (math.isfinite(mean_diff_norm) and math.isfinite(rho12)):
+        raise ValidationError("mean_diff_norm and rho12 must be finite")
     eye = np.eye(d)
     delta = mean_diff_norm / math.sqrt(d)
     return GeneratorSpec(
@@ -196,6 +202,8 @@ def _run_study(
 ) -> StudyResult:
     if replicates < 1:
         raise ValidationError("replicate count must be positive")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     levels = tuple(sorted(float(a) for a in levels))
     if not levels or any(not 0 < a <= 1 for a in levels):
         raise ValidationError("levels must lie in (0, 1]")

@@ -3,7 +3,8 @@
 Everything here is deliberately written from the definitions, without reusing
 the library's vectorized machinery: plain loops over all 2^n label swaps,
 Prufer-sequence enumeration of spanning trees, exact rational arithmetic
-for permutation p-values, and a per-edge label gather for swap counts.
+for permutation p-values, a per-edge label gather for swap counts, and
+edge-pair key matching for the variance count q.
 """
 
 from fractions import Fraction
@@ -43,6 +44,36 @@ def gather_counts(cross, flips):
     r1 = (lu & lv).sum(axis=1)
     r2 = (~lu & ~lv).sum(axis=1)
     return r1.astype(np.int64), r2.astype(np.int64)
+
+
+def mirror_counts(cross):
+    """(c1, c2): the two edge-pair counts behind q = m + 2 c1 - 2 c2.
+
+    c1 counts unordered pairs of edges that are partner images of each other,
+    {(i, j), (i*, j*)}; c2 counts unordered pairs of distinct edges sharing
+    an endpoint whose other endpoints are partners, {(i, j), (i, j*)}. Found
+    by key matching on the edge list, without contracting pairs.
+    """
+    if cross.n_edges == 0:
+        return 0, 0
+    n_nodes = cross.n_nodes
+    partner = (np.arange(n_nodes) + cross.n_pairs) % n_nodes
+    u, v = cross.edges[:, 0], cross.edges[:, 1]
+    keys = u * n_nodes + v
+    # c1: edge (u, v) whose partner image (u*, v*) is also present; each
+    # unordered pair of mirror-image edges is detected from both sides.
+    mu, mv = partner[u], partner[v]
+    mirror = np.minimum(mu, mv) * n_nodes + np.maximum(mu, mv)
+    c1 = int(np.isin(mirror, keys).sum()) // 2
+    # c2: directed incidences (i, j) such that (i, j*) is also an edge; each
+    # unordered pair {(i, j), (i, j*)} is detected from both of its j-side
+    # endpoints.
+    di = np.concatenate([u, v])
+    dj = np.concatenate([v, u])
+    dir_keys = di * n_nodes + dj
+    swapped = di * n_nodes + partner[dj]
+    c2 = int(np.isin(swapped, dir_keys).sum()) // 2
+    return c1, c2
 
 
 def empirical_moments(edges, n):

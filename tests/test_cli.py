@@ -275,6 +275,24 @@ def test_simulate_rejects_bad_scenario(tmp_path):
     assert "invalid scenario key" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "d, var1, message",
+    [("0", "1", "d >= 1"), ("-1", "1", "d >= 1"), ("2", "-1", "non-negative")],
+)
+def test_simulate_rejects_bad_dimension_and_variance(tmp_path, d, var1, message):
+    # the scenario's arithmetic must not run ahead of its validation
+    scenario = tmp_path / "bad.cfg"
+    scenario.write_text(
+        "scenario = x\nmode = size\nfamily = normal\nn = 5\n"
+        f"d = {d}\nvar1 = {var1}\n"
+    )
+    proc = run_cli("simulate", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_oracle_command_passes():
     proc = run_cli("oracle", "--instances", "25", "--seed", "3")
     assert proc.returncode == 0, proc.stderr

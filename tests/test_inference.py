@@ -22,10 +22,15 @@ from pairedgraph import (
     run_oracle_validation,
     statistics,
 )
-from pairedgraph.moments import _q_and_s
 from pairedgraph.stats import EdgeCounts
 
-from oracles import enumerate_counts, exact_pvalues, gather_counts, random_cross_edges
+from oracles import (
+    enumerate_counts,
+    exact_pvalues,
+    gather_counts,
+    mirror_counts,
+    random_cross_edges,
+)
 from test_moments import (
     cross_of,
     dense_multigraphs,
@@ -335,17 +340,19 @@ def test_spin_counts_match_gather_on_hypothesis_edge_sets(data):
 
 
 def test_spin_form_carries_the_null_moments():
-    # q = m + 2 c1 - 2 c2 = |W|_F^2 / 2 and s = |c|^2, so
-    # Var(R1 + R2) = q / 4 and Var(R1 - R2) = s / 4 read off the spin form
+    # |W|_F^2 / 2 = m + 2 c1 - 2 c2 = q and |c|^2 = s, so Var(R1 + R2) = q / 4
+    # and Var(R1 - R2) = s / 4 read off the spin form; c1 and c2 come from the
+    # edge-pair key matching oracle, which shares no code with the spin form
     rng = np.random.default_rng(29)
     for _ in range(300):
         n = int(rng.integers(1, 13))
         cross = cross_of(inference._random_cross_pair_edges(rng, n), n)
         c, w, m = inference._spin_form(cross)
-        q, s = _q_and_s(cross)
+        c1, c2 = mirror_counts(cross)
+        diff = cross.deg[:n] - cross.deg[n:]
         assert m == cross.n_edges
-        assert int((w.astype(np.int64) ** 2).sum()) == 2 * q
-        assert int(c.astype(np.int64) @ c.astype(np.int64)) == s
+        assert int((w.astype(np.int64) ** 2).sum()) == 2 * (m + 2 * c1 - 2 * c2)
+        assert int(c.astype(np.int64) @ c.astype(np.int64)) == int(diff @ diff)
 
 
 def shifted_kmst(n):

@@ -15,11 +15,13 @@ from pairedgraph import (
     null_moments,
 )
 from pairedgraph.inference import _random_cross_pair_edges
+from pairedgraph.moments import _pair_links, _q_and_s
 
 from oracles import (
     brute_sum_ab,
     empirical_moments,
     enumerate_counts,
+    mirror_counts,
     random_cross_edges,
 )
 
@@ -35,25 +37,32 @@ def cross_of(edges, n):
     return extract_cross_pair_graph(SimilarityGraph(np.asarray(edges), 2 * n))
 
 
+def links_of(cross):
+    return [arr.tolist() for arr in _pair_links(cross)]
+
+
 def test_extract_drops_within_pair_edges():
     cross = cross_of([[0, 1], [2, 3], [0, 2]], 2)
     assert cross.edges.tolist() == [[0, 1], [2, 3]]
     assert cross.deg.tolist() == [1, 1, 1, 1]
-    assert cross.c1 == 1
-    assert cross.c2 == 0
+    # both edges join pairs 0 and 1 on equal sides: one link of weight 2
+    assert links_of(cross) == [[0], [1], [2], [2]]
+    assert _q_and_s(cross) == (4, 0)
 
 
 def test_extract_shared_endpoint_counts():
     cross = cross_of(SHARED, 2)
     assert cross.deg.tolist() == [2, 1, 0, 1]
-    assert cross.c1 == 0
-    assert cross.c2 == 1
+    # (0, 1) keeps to one side and (0, 3) crosses over: their signs cancel
+    assert links_of(cross) == [[0], [1], [2], [0]]
+    assert _q_and_s(cross) == (0, 4)
 
 
 def test_extract_within_pair_only_graph_is_empty():
     cross = cross_of([[0, 2], [1, 3]], 2)
     assert cross.n_edges == 0
-    assert cross.c1 == cross.c2 == 0
+    assert links_of(cross) == [[], [], [], []]
+    assert _q_and_s(cross) == (0, 0)
     assert cross.deg.tolist() == [0, 0, 0, 0]
 
 
@@ -184,6 +193,26 @@ def draw_edge_set(data):
         dtype=bool,
     )
     return cross_of(np.stack([iu[keep], iv[keep]], axis=1), n)
+
+
+def assert_q_matches_mirror_counts(cross):
+    c1, c2 = mirror_counts(cross)
+    q, _ = _q_and_s(cross)
+    assert q == cross.n_edges + 2 * c1 - 2 * c2
+
+
+@pytest.mark.parametrize(
+    "family",
+    [random_pair_graphs, dense_multigraphs, tie_heavy_kmsts, empty_and_one_pair_graphs],
+)
+def test_link_weight_q_matches_mirror_counts(family):
+    for cross in family():
+        assert_q_matches_mirror_counts(cross)
+
+
+@given(st.data())
+def test_link_weight_q_matches_mirror_counts_on_hypothesis_edge_sets(data):
+    assert_q_matches_mirror_counts(draw_edge_set(data))
 
 
 def test_diagnostics_match_oracle_on_random_cross_pair_graphs():

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairedgraph import (
+    DisconnectedError,
     GeneratorSpec,
     ValidationError,
     generate,
@@ -185,3 +190,54 @@ def test_scenario_file_errors(tmp_path):
     missing.write_text("scenario = x\nmode = size\nfamily = normal\nn = 5\n")
     with pytest.raises(ValidationError, match="missing required key"):
         load_scenario(missing)
+
+
+# key: (typical values, edge values: zero, negative, non-finite, out of range)
+_BAD_REALS = [-1.0, math.nan, math.inf, 1e308]
+_FUZZ_KEYS = {
+    "n": (st.integers(2, 12), st.sampled_from([1, 0, -1])),
+    "d": (st.integers(1, 4), st.sampled_from([0, -1])),
+    "k": (st.integers(1, 3), st.sampled_from([0, -1, 7])),
+    "replicates": (st.just(1), st.sampled_from([0, -1])),
+    "seed": (st.integers(0, 2**64), st.integers(-(2**63), -1)),
+    "mean_diff_norm": (st.sampled_from([0.0, 0.5]), st.sampled_from(_BAD_REALS)),
+    "var1": (st.just(1.0), st.sampled_from([0.0, *_BAD_REALS])),
+    "var2": (st.just(1.0), st.sampled_from([0.0, *_BAD_REALS])),
+    "rho12": (st.floats(-0.9, 0.9), st.sampled_from([1.5, *_BAD_REALS])),
+    "levels": (st.sampled_from([0.05, 1.0]), st.sampled_from([0.0, 2.0, *_BAD_REALS])),
+}
+
+
+@st.composite
+def scenario_values(draw):
+    """Every numeric scenario key; a few of them spoilt, maybe not numbers."""
+    spoilt = draw(st.sets(st.sampled_from(sorted(_FUZZ_KEYS)), max_size=3))
+    values = {}
+    for key, (typical, edge) in _FUZZ_KEYS.items():
+        if key not in spoilt:
+            values[key] = str(draw(typical))
+        else:
+            junk = st.sampled_from(["abc", "", "1e", "0x10", "1.5"])
+            values[key] = str(draw(st.one_of(edge, junk)))
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(["size", "power"]),
+    family=st.sampled_from(["normal", "t3", "lognormal"]),
+    values=scenario_values(),
+)
+def test_scenario_fuzz_fails_only_with_documented_errors(
+    tmp_path_factory, mode, family, values
+):
+    # a bad file may only raise the errors the CLI maps to exit code 2
+    lines = ["scenario = fuzz", f"mode = {mode}", f"family = {family}"]
+    lines += [f"{key} = {value}" for key, value in values.items()]
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        result = run_scenario(load_scenario(path))
+    except (ValidationError, DisconnectedError):
+        return
+    assert result.replicates == 1
