@@ -28,13 +28,10 @@ from .graph import (
 )
 from .inference import (
     ExactTooLargeError,
-    OracleSummary,
     PValueReport,
     asymptotic_pvalues,
-    chi2_2_sf,
     exhaustive_edge_counts,
     exhaustive_null_moments,
-    normal_sf,
     permutation_pvalues,
     run_oracle_validation,
 )
@@ -61,7 +58,6 @@ from .simulate import (
     scalar_block_spec,
 )
 from .stats import (
-    DegenerateNullError,
     EdgeCounts,
     StatisticTriple,
     graph_test,
@@ -73,7 +69,6 @@ __all__ = [
     "__version__",
     "ConditionDiagnostics",
     "CrossPairGraph",
-    "DegenerateNullError",
     "DimensionError",
     "DisconnectedError",
     "DistanceMatrix",
@@ -82,7 +77,6 @@ __all__ = [
     "GeneratorSpec",
     "HotellingReport",
     "NullMoments",
-    "OracleSummary",
     "PValueReport",
     "PairedSample",
     "SimilarityGraph",
@@ -96,7 +90,6 @@ __all__ = [
     "bonferroni",
     "build_kmst",
     "census_q3",
-    "chi2_2_sf",
     "condition_diagnostics",
     "distance_matrix",
     "exhaustive_edge_counts",
@@ -106,7 +99,6 @@ __all__ = [
     "graph_test",
     "hotelling_paired",
     "load_scenario",
-    "normal_sf",
     "null_moments",
     "paired_t_test",
     "permutation_pvalues",

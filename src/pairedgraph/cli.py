@@ -90,8 +90,6 @@ def _cmd_test(args) -> int:
         raise ValidationError("--metric precomputed requires --dist-matrix")
     if args.dist_matrix and args.metric != "precomputed":
         raise ValidationError("--dist-matrix only applies with --metric precomputed")
-    if args.seed is not None and args.seed < 0:
-        raise ValidationError("--seed must be non-negative")
 
     sample = read_paired_csv(args.input)
     distances = read_distance_csv(args.dist_matrix) if args.dist_matrix else None

@@ -2,8 +2,9 @@
 
 The k-MST is the union of k successive spanning trees: tree i is the minimum
 spanning tree of the complete distance graph with the edges of trees 1..i-1
-removed. Ties in edge weight are broken by (weight, smaller endpoint, larger
-endpoint), so construction is fully deterministic.
+removed. One lexsort decides the edge order once, by (weight, smaller
+endpoint, larger endpoint); Prim then grows each tree over these distinct
+ranks, so construction is fully deterministic.
 """
 
 from __future__ import annotations
@@ -120,55 +121,15 @@ class SimilarityGraph:
         return self.edges.shape[0]
 
 
-def _sorted_candidates(dist: DistanceMatrix):
-    """Upper-triangle edges sorted by (weight, u, v)."""
-    n = dist.n_nodes
-    iu, iv = np.triu_indices(n, 1)
-    w = dist.dist[iu, iv]
-    order = np.lexsort((iv, iu, w))
-    return iu[order], iv[order]
-
-
-def _spanning_pass(us, vs, n_nodes: int, banned: bytearray, level: int):
-    """One Kruskal pass over the pre-sorted candidate list.
-
-    Marks the chosen positions in ``banned`` (so later levels skip them) and
-    returns them. Raises DisconnectedError if no spanning tree completes.
-    """
-    parent = list(range(n_nodes))
-    size = [1] * n_nodes
-    chosen = []
-    need = n_nodes - 1
-    for pos in range(len(us)):
-        if banned[pos]:
-            continue
-        a = us[pos]
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        b = vs[pos]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a == b:
-            continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-        banned[pos] = 1
-        chosen.append(pos)
-        if len(chosen) == need:
-            return chosen
-    raise DisconnectedError(
-        f"graph is disconnected at MST level {level}: only {len(chosen)} of "
-        f"{need} tree edges available",
-        level=level,
-    )
-
-
 def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
-    """Union of k successive edge-disjoint minimum spanning trees."""
+    """Union of k successive edge-disjoint minimum spanning trees.
+
+    One lexsort ranks every edge by (weight, smaller endpoint, larger
+    endpoint). The ranks are distinct, so each level's tree is unique, and
+    Prim grows it from node 0 over the ranks alone. A used edge, like the
+    diagonal, gets the rank ``gone`` = N(N-1)/2, above every real edge.
+    Raises DisconnectedError with the first level whose tree cannot span.
+    """
     if int(k) != k or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
     k = int(k)
@@ -178,12 +139,34 @@ def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
             f"k={k} exceeds floor(N/2)={n // 2}: the complete graph on {n} "
             f"nodes cannot hold {k} edge-disjoint spanning trees"
         )
-    iu, iv = _sorted_candidates(dist)
-    us = iu.tolist()
-    vs = iv.tolist()
-    banned = bytearray(len(us))
-    edges = []
+    iu, iv = np.triu_indices(n, 1)
+    order = np.lexsort((iv, iu, dist.dist[iu, iv]))
+    iu, iv = iu[order], iv[order]  # edge r is (iu[r], iv[r])
+    gone = iu.size
+    rank = np.full((n, n), gone, dtype=np.int64)
+    rank[iu, iv] = rank[iv, iu] = np.arange(gone)
+    chosen = []
+    # best[w] is the lowest rank joining outside node w to the tree; a tree
+    # node holds gone + 1, so argmin picks an outside node while one is left
     for level in range(1, k + 1):
-        for pos in _spanning_pass(us, vs, n, banned, level):
-            edges.append((us[pos], vs[pos]))
-    return SimilarityGraph(np.array(edges, dtype=np.int64), n, k=k)
+        best = rank[0].copy()
+        best[0] = gone + 1
+        outside = np.ones(n, dtype=bool)
+        outside[0] = False
+        for reached in range(1, n):
+            v = int(best.argmin())
+            r = int(best[v])
+            if r == gone:
+                raise DisconnectedError(
+                    f"graph is disconnected at MST level {level}: the tree "
+                    f"from node 0 reaches only {reached} of {n} nodes",
+                    level=level,
+                )
+            chosen.append(r)
+            a, b = iu[r], iv[r]
+            rank[a, b] = rank[b, a] = gone
+            outside[v] = False
+            best[v] = gone + 1
+            np.minimum(best, rank[v], out=best, where=outside)
+    chosen = np.array(chosen, dtype=np.int64)
+    return SimilarityGraph(np.stack([iu[chosen], iv[chosen]], axis=1), n, k=k)

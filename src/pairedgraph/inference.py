@@ -37,13 +37,10 @@ __all__ = [
     "RNG_ALGORITHM",
     "ExactTooLargeError",
     "PValueReport",
-    "normal_sf",
-    "chi2_2_sf",
     "asymptotic_pvalues",
     "permutation_pvalues",
     "exhaustive_edge_counts",
     "exhaustive_null_moments",
-    "OracleSummary",
     "run_oracle_validation",
 ]
 
@@ -53,7 +50,7 @@ _CHUNK = 1 << 14
 
 
 class ExactTooLargeError(ValidationError):
-    """Exact enumeration was requested beyond the configured threshold."""
+    """Exact enumeration was requested beyond the exact threshold."""
 
 
 @dataclass(frozen=True)
@@ -72,12 +69,12 @@ class PValueReport:
     rng_algorithm: str | None = None
 
 
-def normal_sf(x: float) -> float:
+def _normal_sf(x: float) -> float:
     """Standard normal survival function P(Z >= x)."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def chi2_2_sf(x: float) -> float:
+def _chi2_2_sf(x: float) -> float:
     """Chi-square(2 df) survival function, exp(-x/2) in closed form."""
     if x < 0:
         raise ValidationError("chi-square survival function needs x >= 0")
@@ -90,9 +87,9 @@ def asymptotic_pvalues(s: StatisticTriple) -> PValueReport:
     z_m is one-sided (reject large), z_s two-sided, z_g upper chi-square.
     """
     return PValueReport(
-        p_m_asym=None if s.z_m is None else normal_sf(s.z_m),
-        p_s_asym=None if s.z_s is None else 2.0 * normal_sf(abs(s.z_s)),
-        p_g_asym=None if s.z_g is None else chi2_2_sf(s.z_g),
+        p_m_asym=None if s.z_m is None else _normal_sf(s.z_m),
+        p_s_asym=None if s.z_s is None else 2.0 * _normal_sf(abs(s.z_s)),
+        p_g_asym=None if s.z_g is None else _chi2_2_sf(s.z_g),
     )
 
 
@@ -159,24 +156,24 @@ def permutation_pvalues(
     n_perm: int = 10000,
     seed: int | None = None,
     mode: str = "auto",
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     strict: bool = False,
 ) -> PValueReport:
     """Permutation p-values for the observed (identity) labeling.
 
     ``mode`` is "exact", "monte-carlo", or "auto" (exact when n is at or
-    below ``exact_threshold``). Exact mode counts swaps whose statistic is
-    >= the observed one (or > with ``strict=True``) out of all 2^n.
+    below ``DEFAULT_EXACT_THRESHOLD``). Exact mode counts swaps whose
+    statistic is >= the observed one (or > with ``strict=True``) out of all
+    2^n.
     """
     n = cross.n_pairs
     if mode not in ("auto", "exact", "monte-carlo"):
         raise ValidationError(f"unknown permutation mode {mode!r}")
     if mode == "auto":
-        mode = "exact" if n <= exact_threshold else "monte-carlo"
-    if mode == "exact" and n > exact_threshold:
+        mode = "exact" if n <= DEFAULT_EXACT_THRESHOLD else "monte-carlo"
+    if mode == "exact" and n > DEFAULT_EXACT_THRESHOLD:
         raise ExactTooLargeError(
             f"exact enumeration needs 2^{n} assignments; the threshold is "
-            f"n <= {exact_threshold}"
+            f"n <= {DEFAULT_EXACT_THRESHOLD}"
         )
     if mode == "monte-carlo" and n_perm < 1:
         raise ValidationError("monte-carlo needs at least one permutation")
@@ -233,14 +230,13 @@ def permutation_pvalues(
     )
 
 
-def exhaustive_edge_counts(
-    cross: CrossPairGraph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD
-):
+def exhaustive_edge_counts(cross: CrossPairGraph):
     """(r1, r2) for every one of the 2^n swaps, in code order."""
     n = cross.n_pairs
-    if n > exact_threshold:
+    if n > DEFAULT_EXACT_THRESHOLD:
         raise ExactTooLargeError(
-            f"exhaustive enumeration limited to n <= {exact_threshold}, got {n}"
+            f"exhaustive enumeration limited to n <= {DEFAULT_EXACT_THRESHOLD}, "
+            f"got {n}"
         )
     spin = _spin_form(cross)
     parts = [_spin_counts(spin, flips) for flips in _enumerated_flip_chunks(n)]
@@ -249,11 +245,9 @@ def exhaustive_edge_counts(
     return r1, r2
 
 
-def exhaustive_null_moments(
-    cross: CrossPairGraph, exact_threshold: int = DEFAULT_EXACT_THRESHOLD
-) -> NullMoments:
+def exhaustive_null_moments(cross: CrossPairGraph) -> NullMoments:
     """Empirical moments over the full swap set (population normalization)."""
-    r1, r2 = exhaustive_edge_counts(cross, exact_threshold)
+    r1, r2 = exhaustive_edge_counts(cross)
     r1 = r1.astype(float)
     r2 = r2.astype(float)
     e1 = r1.mean()
@@ -269,7 +263,7 @@ def exhaustive_null_moments(
 
 
 @dataclass(frozen=True)
-class OracleSummary:
+class _OracleSummary:
     """Result of the randomized analytic-vs-exhaustive validation sweep."""
 
     instances: int
@@ -307,7 +301,7 @@ def run_oracle_validation(
     max_k: int = 3,
     seed: int = 0,
     tolerance: float = 1e-9,
-) -> OracleSummary:
+) -> _OracleSummary:
     """Compare analytic moments with exhaustive enumeration on random inputs.
 
     Even-numbered instances build a k-MST on random data; odd-numbered ones
@@ -362,7 +356,7 @@ def run_oracle_validation(
             residual = float(np.max(np.abs(z_g - z_m**2 - z_s**2)))
             max_residual = max(max_residual, residual)
 
-    return OracleSummary(
+    return _OracleSummary(
         instances=instances,
         seed=seed,
         max_moment_error=max_moment_error,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,20 @@ def _expected_header(d: int) -> list[str]:
     return [f"x{j}" for j in range(1, d + 1)] + [f"y{j}" for j in range(1, d + 1)]
 
 
+def _read_text(path: Path) -> str:
+    """The file decoded as UTF-8; a bad byte fails naming its 1-based line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}: line {line}: not valid UTF-8 text") from None
+
+
 def read_paired_csv(path) -> PairedSample:
     """Read a paired sample; errors name the offending 1-based file line."""
     path = Path(path)
-    with path.open(newline="") as handle:
+    with StringIO(_read_text(path), newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -92,7 +103,7 @@ def read_distance_csv(path) -> DistanceMatrix:
     path = Path(path)
     rows = []
     width = None
-    with path.open(newline="") as handle:
+    with StringIO(_read_text(path), newline="") as handle:
         for lineno, record in enumerate(csv.reader(handle), start=1):
             if not record or all(not cell.strip() for cell in record):
                 continue

@@ -16,12 +16,7 @@ from ._version import __version__
 from .baselines import HotellingReport, hotelling_paired
 from .core import PairedSample, ValidationError, pool
 from .graph import DistanceMatrix, distance_matrix
-from .inference import (
-    DEFAULT_EXACT_THRESHOLD,
-    PValueReport,
-    asymptotic_pvalues,
-    permutation_pvalues,
-)
+from .inference import PValueReport, asymptotic_pvalues, permutation_pvalues
 from .moments import ConditionDiagnostics, NullMoments, census_q3, condition_diagnostics
 from .stats import EdgeCounts, StatisticTriple, graph_test
 
@@ -117,7 +112,6 @@ def run_paired_test(
     pvalue: str = "asymptotic",
     n_perm: int = 10000,
     exact: bool = False,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     strict: bool = False,
     baseline_ht: bool = False,
     seed: int | None = None,
@@ -131,6 +125,8 @@ def run_paired_test(
     """
     if pvalue not in ("asymptotic", "permutation", "both"):
         raise ValidationError(f"unknown pvalue choice {pvalue!r}")
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     sample = PairedSample(x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float))
     if sample.n < 2:
         raise ValidationError("need at least 2 pairs to run a test")
@@ -158,7 +154,6 @@ def run_paired_test(
             n_perm=n_perm,
             seed=seed,
             mode="exact" if exact else "auto",
-            exact_threshold=exact_threshold,
             strict=strict,
         )
     if pvalue in ("asymptotic", "both"):

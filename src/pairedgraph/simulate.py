@@ -12,6 +12,7 @@ so results do not depend on evaluation order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .baselines import SingularCovarianceError, hotelling_paired
 from .core import PairedSample, ValidationError, pool
 from .graph import distance_matrix
 from .inference import asymptotic_pvalues
+from .io import _read_text
 from .stats import graph_test
 
 __all__ = [
@@ -121,13 +123,18 @@ def scalar_block_spec(
     The mean difference is spread uniformly over coordinates: nu1 - nu2 =
     delta * ones with delta = mean_diff_norm / sqrt(d), so the Euclidean norm
     of the shift equals the requested target. gamma12 = rho12 *
-    sqrt(var1 * var2) * I keeps the per-coordinate cross correlation at
-    rho12 for any variance scaling.
+    sqrt(var1) * sqrt(var2) * I keeps the per-coordinate cross correlation at
+    rho12 for any variance scaling. Variances above half the largest float
+    are rejected, because the stacked covariance is symmetrized by a sum.
     """
     if d < 1:
         raise ValidationError(f"need d >= 1 dimensions, got {d}")
-    if not (0 <= var1 < math.inf and 0 <= var2 < math.inf):
-        raise ValidationError("var1 and var2 must be finite and non-negative")
+    limit = sys.float_info.max / 2
+    if not (0 <= var1 <= limit and 0 <= var2 <= limit):
+        raise ValidationError(
+            f"var1 and var2 must be non-negative and at most {limit:.4g}, "
+            "or the stacked covariance overflows"
+        )
     if not (math.isfinite(mean_diff_norm) and math.isfinite(rho12)):
         raise ValidationError("mean_diff_norm and rho12 must be finite")
     eye = np.eye(d)
@@ -138,7 +145,7 @@ def scalar_block_spec(
         nu2=np.zeros(d),
         gamma1=var1 * eye,
         gamma2=var2 * eye,
-        gamma12=rho12 * math.sqrt(var1 * var2) * eye,
+        gamma12=rho12 * math.sqrt(var1) * math.sqrt(var2) * eye,
         n=n,
         d=d,
     )
@@ -339,7 +346,7 @@ class Scenario:
 def load_scenario(path) -> Scenario:
     """Parse a flat ``key = value`` scenario file."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(Path(path)).splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

@@ -27,7 +27,6 @@ from .moments import (
 
 __all__ = [
     "VARIANCE_FLOOR",
-    "DegenerateNullError",
     "EdgeCounts",
     "StatisticTriple",
     "standardize",
@@ -38,18 +37,6 @@ __all__ = [
 # Null variances are integer multiples of 1/4, so anything below this floor
 # is an exact zero up to rounding.
 VARIANCE_FLOOR = 1e-12
-
-
-class DegenerateNullError(RuntimeError):
-    """A requested statistic has zero null variance and is undefined."""
-
-    def __init__(self, flags: tuple[str, ...]) -> None:
-        super().__init__(
-            f"degenerate null for statistic(s) {', '.join(flags)}: "
-            "the corresponding null variance is zero (a denser graph, for "
-            "example a larger k, usually removes the degeneracy)"
-        )
-        self.flags = flags
 
 
 @dataclass(frozen=True)
@@ -68,13 +55,6 @@ class StatisticTriple:
     z_s: float | None
     z_g: float | None
     degenerate_flags: tuple[str, ...] = ()
-
-    def require(self, which: str) -> float:
-        """Value of statistic ``which`` in {'m', 's', 'g'}, or raise."""
-        value = {"m": self.z_m, "s": self.z_s, "g": self.z_g}[which]
-        if value is None:
-            raise DegenerateNullError(self.degenerate_flags)
-        return value
 
 
 def standardize(r1, r2, moments: NullMoments):

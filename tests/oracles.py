@@ -2,14 +2,16 @@
 
 Everything here is deliberately written from the definitions, without reusing
 the library's vectorized machinery: plain loops over all 2^n label swaps,
-Prufer-sequence enumeration of spanning trees, exact rational arithmetic
-for permutation p-values, a per-edge label gather for swap counts, and
-edge-pair key matching for the variance count q.
+Prufer-sequence enumeration of spanning trees, Kruskal passes for the k-MST,
+exact rational arithmetic for permutation p-values, a per-edge label gather
+for swap counts, and edge-pair key matching for the variance count q.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from pairedgraph import DisconnectedError
 
 
 def enumerate_counts(edges, n):
@@ -216,6 +218,52 @@ def min_spanning_weight(dist):
         weight = sum(dist[u, v] for u, v in tree)
         best = min(best, weight)
     return best
+
+
+def kruskal_kmst(dist, k):
+    """k-MST edges of a DistanceMatrix by k Kruskal passes, rows sorted.
+
+    All N(N-1)/2 edges are sorted once by (weight, u, v); each pass runs a
+    union-find over the edges no earlier pass took. Raises DisconnectedError
+    with the first level whose pass cannot complete a spanning tree.
+    """
+    n = dist.n_nodes
+    iu, iv = np.triu_indices(n, 1)
+    order = np.lexsort((iv, iu, dist.dist[iu, iv]))
+    us = iu[order].tolist()
+    vs = iv[order].tolist()
+    taken = bytearray(len(us))
+    edges = []
+    for level in range(1, k + 1):
+        parent = list(range(n))
+        size = [1] * n
+        found = 0
+        for pos in range(len(us)):
+            if taken[pos]:
+                continue
+            a = us[pos]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            b = vs[pos]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a == b:
+                continue
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+            taken[pos] = 1
+            edges.append((us[pos], vs[pos]))
+            found += 1
+            if found == n - 1:
+                break
+        else:
+            raise DisconnectedError(f"no spanning tree at level {level}", level=level)
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
 def random_cross_edges(rng, n, prob=None):

@@ -293,6 +293,32 @@ def test_simulate_rejects_bad_dimension_and_variance(tmp_path, d, var1, message)
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("reader", ["input", "dist-matrix", "simulate"])
+def test_non_utf8_file_exits_2_naming_the_line(tmp_path, pairs_csv, reader):
+    bad = tmp_path / "bad.txt"
+    if reader == "input":
+        bad.write_bytes(b"x1,y1\n1,2\n\xff\xfe,3\n")
+        args = ("test", "--input", str(bad))
+    elif reader == "dist-matrix":
+        bad.write_bytes(b"0,1\n1,0\n\xff\n")
+        args = ("test", "--input", str(pairs_csv), "--metric", "precomputed",
+                "--dist-matrix", str(bad))
+    else:
+        bad.write_bytes(b"scenario = x\nmode = size\n\xff = normal\n")
+        args = ("simulate", str(bad))
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "line 3: not valid UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_negative_seed_exits_2(pairs_csv):
+    proc = run_cli("test", "--input", str(pairs_csv), "--seed", "-1")
+    assert proc.returncode == 2
+    assert "seed must be non-negative" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_oracle_command_passes():
     proc = run_cli("oracle", "--instances", "25", "--seed", "3")
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pairedgraph import (
     DisconnectedError,
@@ -10,7 +12,7 @@ from pairedgraph import (
     precomputed_distance,
 )
 
-from oracles import min_spanning_weight
+from oracles import kruskal_kmst, min_spanning_weight
 
 
 def weight(graph, dist):
@@ -164,6 +166,79 @@ def test_tie_break_is_lexicographic():
     with pytest.raises(DisconnectedError) as err:
         build_kmst(d, 2)
     assert err.value.level == 2
+
+
+def same_as_kruskal(dist, k):
+    """Require build_kmst to give Kruskal's edges, or fail at Kruskal's level.
+
+    Returns the level at which both failed, or None when both spanned.
+    """
+    try:
+        want = kruskal_kmst(dist, k)
+    except DisconnectedError as err:
+        with pytest.raises(DisconnectedError) as got:
+            build_kmst(dist, k)
+        assert got.value.level == err.level
+        return err.level
+    assert np.array_equal(build_kmst(dist, k).edges, want)
+    return None
+
+
+def test_kmst_matches_kruskal_on_tie_heavy_grids():
+    # coordinates in {0, 1, 2}: most edges tie, so the (weight, u, v) order
+    # decides the trees and, on one or two axes, where they disconnect
+    rng = np.random.default_rng(31)
+    levels = []
+    for metric in ("manhattan", "euclidean"):
+        for n_nodes in (4, 7, 12, 21, 34, 55, 78):
+            for dim in (1, 2, 4):
+                pooled = rng.integers(0, 3, size=(n_nodes, dim)).astype(float)
+                dist = distance_matrix(pooled, metric)
+                for k in range(1, min(6, n_nodes // 2) + 1):
+                    levels.append(same_as_kruskal(dist, k))
+    assert any(level is not None for level in levels)
+    assert any(level is None for level in levels)
+
+
+def test_kmst_matches_kruskal_on_identical_points():
+    # every distance is zero: level 1 is the star at node 0, level 2 fails
+    for n_nodes in (4, 5, 9, 16):
+        dist = distance_matrix(np.zeros((n_nodes, 2)))
+        assert same_as_kruskal(dist, 1) is None
+        for k in range(2, n_nodes // 2 + 1):
+            assert same_as_kruskal(dist, k) == 2
+
+
+def test_kmst_matches_kruskal_on_continuous_draws():
+    rng = np.random.default_rng(32)
+    for n_nodes in (4, 6, 11, 24, 45, 78):
+        for dim in (1, 3, 10):
+            dist = distance_matrix(rng.standard_normal((n_nodes, dim)))
+            for k in range(1, min(6, n_nodes // 2) + 1):
+                same_as_kruskal(dist, k)
+
+
+@given(st.data())
+def test_kmst_matches_kruskal_on_integer_matrices(data):
+    # entries in {0, 1, 2, 3}, zeros off the diagonal included: ties everywhere
+    n_nodes = data.draw(st.integers(min_value=2, max_value=12))
+    upper = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=3),
+            min_size=n_nodes * (n_nodes - 1) // 2,
+            max_size=n_nodes * (n_nodes - 1) // 2,
+        )
+    )
+    matrix = np.zeros((n_nodes, n_nodes))
+    matrix[np.triu_indices(n_nodes, 1)] = upper
+    k = data.draw(st.integers(min_value=1, max_value=n_nodes // 2))
+    same_as_kruskal(precomputed_distance(matrix + matrix.T), k)
+
+
+def test_kmst_matches_kruskal_at_a_thousand_pairs():
+    rng = np.random.default_rng(33)
+    dist = distance_matrix(rng.standard_normal((2000, 20)))
+    assert same_as_kruskal(dist, 5) is None
 
 
 def test_similarity_graph_rejects_junk():

@@ -12,16 +12,15 @@ from pairedgraph import (
     ValidationError,
     asymptotic_pvalues,
     build_kmst,
-    chi2_2_sf,
     distance_matrix,
     exhaustive_edge_counts,
     extract_cross_pair_graph,
-    normal_sf,
     null_moments,
     permutation_pvalues,
     run_oracle_validation,
     statistics,
 )
+from pairedgraph.inference import _chi2_2_sf, _normal_sf
 from pairedgraph.stats import EdgeCounts
 
 from oracles import (
@@ -47,19 +46,19 @@ def hp_normal_sf(x):
 
 def test_normal_sf_against_high_precision_oracle():
     for x in (-8.0, -3.2, -1.0, 0.0, 0.5, 1.959963985, 3.7, 8.0):
-        assert normal_sf(x) == pytest.approx(hp_normal_sf(x), rel=1e-10)
-    assert normal_sf(0.0) == 0.5
-    assert normal_sf(1.959963985) == pytest.approx(0.025, abs=1e-7)
+        assert _normal_sf(x) == pytest.approx(hp_normal_sf(x), rel=1e-10)
+    assert _normal_sf(0.0) == 0.5
+    assert _normal_sf(1.959963985) == pytest.approx(0.025, abs=1e-7)
 
 
 def test_chi2_sf_closed_form():
-    assert chi2_2_sf(0.0) == 1.0
-    assert chi2_2_sf(2 * math.log(20)) == pytest.approx(0.05, abs=1e-15)
-    assert chi2_2_sf(5.991464547) == pytest.approx(0.05, abs=1e-6)
+    assert _chi2_2_sf(0.0) == 1.0
+    assert _chi2_2_sf(2 * math.log(20)) == pytest.approx(0.05, abs=1e-15)
+    assert _chi2_2_sf(5.991464547) == pytest.approx(0.05, abs=1e-6)
     for x in (0.1, 1.0, 7.3):
-        assert chi2_2_sf(x) == pytest.approx(float(mpmath.exp(-x / 2)), abs=1e-12)
+        assert _chi2_2_sf(x) == pytest.approx(float(mpmath.exp(-x / 2)), abs=1e-12)
     with pytest.raises(ValidationError):
-        chi2_2_sf(-1.0)
+        _chi2_2_sf(-1.0)
 
 
 def test_asymptotic_pvalue_conventions():

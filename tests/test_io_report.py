@@ -135,6 +135,8 @@ def test_run_paired_test_argument_validation():
         run_paired_test(x[:1], y[:1])  # single pair cannot be tested
     with pytest.raises(ValidationError, match="nodes"):
         run_paired_test(x, y, distances=precomputed_distance(np.zeros((4, 4))))
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        run_paired_test(x, y, pvalue="permutation", seed=-1)
 
 
 def test_library_permutation_run_draws_a_replayable_seed():

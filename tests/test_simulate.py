@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pairedgraph import (
     run_size_study,
     scalar_block_spec,
 )
+from pairedgraph.simulate import _cov_factor
 
 
 def test_spec_validates_shapes_and_psd():
@@ -36,6 +38,18 @@ def test_spec_validates_shapes_and_psd():
             n=5,
             d=2,
         )
+
+
+@pytest.mark.parametrize("var1, var2", [(1e308, 1e308), (1e308, 1.0), (1.0, 1e308)])
+def test_overflowing_variances_are_named(var1, var2):
+    with pytest.raises(ValidationError, match="var1 and var2"):
+        scalar_block_spec("normal", 5, 2, var1=var1, var2=var2)
+
+
+def test_largest_accepted_variances_keep_the_factor_finite():
+    limit = sys.float_info.max / 2
+    spec = scalar_block_spec("normal", 5, 2, var1=limit, var2=limit, rho12=0.9)
+    assert np.isfinite(_cov_factor(spec)).all()
 
 
 def test_mean_shift_norm_is_exact():
