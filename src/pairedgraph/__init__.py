@@ -49,7 +49,6 @@ from .report import TestReport, report_csv, report_json, run_paired_test
 from .simulate import (
     GeneratorSpec,
     StudyResult,
-    generate,
     load_scenario,
     results_to_csv,
     run_power_study,
@@ -95,7 +94,6 @@ __all__ = [
     "exhaustive_edge_counts",
     "exhaustive_null_moments",
     "extract_cross_pair_graph",
-    "generate",
     "graph_test",
     "hotelling_paired",
     "load_scenario",

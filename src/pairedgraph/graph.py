@@ -1,18 +1,15 @@
 """Distance matrices and k-MST similarity graphs on pooled observations.
 
-The k-MST is the union of k successive spanning trees: tree i is the minimum
-spanning tree of the complete distance graph with the edges of trees 1..i-1
-removed. One lexsort decides the edge order once, by (weight, smaller
-endpoint, larger endpoint); Prim then grows each tree over these distinct
-ranks, so construction is fully deterministic.
+The k-MST is the union of k successive spanning trees, each the minimum one
+without the earlier trees' edges, grown as a single-linkage dendrogram (Gower &
+Ross 1969) over edge ranks decided once; construction is fully deterministic.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import pdist, squareform
 
 from .core import ValidationError
 
@@ -26,6 +23,7 @@ __all__ = [
 ]
 
 _METRICS = {"euclidean": "euclidean", "manhattan": "cityblock"}
+_KEY_MAX = np.iinfo(np.int64).max  # build_kmst's sort keys reach E**2 - 1
 
 
 class DisconnectedError(RuntimeError):
@@ -44,7 +42,7 @@ class DistanceMatrix:
     metric: str
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.dist, dtype=float)
+        d = np.array(self.dist, dtype=float)  # a private copy
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValidationError(f"distance matrix must be square, got {d.shape}")
         if d.shape[0] < 2:
@@ -57,9 +55,8 @@ class DistanceMatrix:
             raise ValidationError("distance matrix is not symmetric")
         if np.any(np.diag(d) != 0.0):
             raise ValidationError("distance matrix diagonal must be zero")
-        out = np.array(d, copy=True)
-        out.setflags(write=False)
-        object.__setattr__(self, "dist", out)
+        d.setflags(write=False)
+        object.__setattr__(self, "dist", d)
 
     @property
     def n_nodes(self) -> int:
@@ -78,7 +75,13 @@ def distance_matrix(pooled, metric: str = "euclidean") -> DistanceMatrix:
         raise ValidationError("pooled observations must be a 2-D matrix")
     if not np.isfinite(points).all():
         raise ValidationError("pooled observations contain non-finite entries")
-    return DistanceMatrix(cdist(points, points, metric=_METRICS[metric]), metric)
+    dist = squareform(pdist(points, _METRICS[metric]))
+    if not np.isfinite(dist).all():
+        raise ValidationError(
+            "distances between the finite pooled observations overflow float64 "
+            f"(largest absolute coordinate {np.abs(points).max():.4g})"
+        )
+    return DistanceMatrix(dist, metric)
 
 
 def precomputed_distance(matrix) -> DistanceMatrix:
@@ -101,18 +104,15 @@ class SimilarityGraph:
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            lo = edges.min(axis=1)
-            hi = edges.max(axis=1)
-            if (lo == hi).any():
-                raise ValidationError("self-loops are not allowed")
-            if lo.min() < 0 or hi.max() >= self.n_nodes:
-                raise ValidationError("edge endpoint out of range")
-            edges = np.stack([lo, hi], axis=1)
-            keys = lo * self.n_nodes + hi
-            if np.unique(keys).size != keys.size:
-                raise ValidationError("duplicate edges are not allowed")
-            edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        lo, hi = edges.min(axis=1), edges.max(axis=1)
+        if (lo == hi).any():
+            raise ValidationError("self-loops are not allowed")
+        if (lo < 0).any() or (hi >= self.n_nodes).any():
+            raise ValidationError("edge endpoint out of range")
+        keys = np.unique(lo * self.n_nodes + hi)  # sorted: rows in (u, v) order
+        if keys.size != lo.size:
+            raise ValidationError("duplicate edges are not allowed")
+        edges = np.stack(np.divmod(keys, self.n_nodes), axis=1)
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
 
@@ -124,11 +124,10 @@ class SimilarityGraph:
 def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
     """Union of k successive edge-disjoint minimum spanning trees.
 
-    One lexsort ranks every edge by (weight, smaller endpoint, larger
-    endpoint). The ranks are distinct, so each level's tree is unique, and
-    Prim grows it from node 0 over the ranks alone. A used edge, like the
-    diagonal, gets the rank ``gone`` = N(N-1)/2, above every real edge.
-    Raises DisconnectedError with the first level whose tree cannot span.
+    Edges are ranked once by (weight, u, v), u < v, so each level's tree is
+    unique; scipy's single-linkage Prim grows it and returns its edges' ranks
+    as merge heights. A used edge gets the rank ``gone`` = N(N-1)/2, above
+    every real edge. Raises DisconnectedError at the first level that cannot span.
     """
     if int(k) != k or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
@@ -139,34 +138,34 @@ def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
             f"k={k} exceeds floor(N/2)={n // 2}: the complete graph on {n} "
             f"nodes cannot hold {k} edge-disjoint spanning trees"
         )
-    iu, iv = np.triu_indices(n, 1)
-    order = np.lexsort((iv, iu, dist.dist[iu, iv]))
-    iu, iv = iu[order], iv[order]  # edge r is (iu[r], iv[r])
-    gone = iu.size
-    rank = np.full((n, n), gone, dtype=np.int64)
-    rank[iu, iv] = rank[iv, iu] = np.arange(gone)
+    gone = n * (n - 1) // 2
+    if gone * gone > _KEY_MAX:
+        raise ValidationError(f"N={n} nodes overflow the k-MST's int64 sort keys")
+    # edge p is the p-th (u, v) in condensed order: (weight, p) is (weight, u, v)
+    w = squareform(dist.dist, checks=False)
+    order = np.argsort(w)  # equal weights come out in any order
+    w = w[order]
+    key = np.zeros(gone, dtype=np.int64)
+    np.cumsum(w[1:] != w[:-1], out=key[1:])  # equal-weight run of each slot
+    key *= gone
+    key += order
+    key.sort()  # the (run, p) keys are distinct: p order within each run
+    order = np.remainder(key, gone, out=key)  # the edge of each rank
+    rank = w  # reuses the sorted weights' buffer
+    rank[order] = np.arange(gone)
     chosen = []
-    # best[w] is the lowest rank joining outside node w to the tree; a tree
-    # node holds gone + 1, so argmin picks an outside node while one is left
     for level in range(1, k + 1):
-        best = rank[0].copy()
-        best[0] = gone + 1
-        outside = np.ones(n, dtype=bool)
-        outside[0] = False
-        for reached in range(1, n):
-            v = int(best.argmin())
-            r = int(best[v])
-            if r == gone:
-                raise DisconnectedError(
-                    f"graph is disconnected at MST level {level}: the tree "
-                    f"from node 0 reaches only {reached} of {n} nodes",
-                    level=level,
-                )
-            chosen.append(r)
-            a, b = iu[r], iv[r]
-            rank[a, b] = rank[b, a] = gone
-            outside[v] = False
-            best[v] = gone + 1
-            np.minimum(best, rank[v], out=best, where=outside)
-    chosen = np.array(chosen, dtype=np.int64)
-    return SimilarityGraph(np.stack([iu[chosen], iv[chosen]], axis=1), n, k=k)
+        tree = linkage(rank, method="single")
+        if tree[:, 2].max() == gone:
+            labels = fcluster(tree, gone - 0.5, criterion="distance")
+            raise DisconnectedError(
+                f"graph is disconnected at MST level {level}: the tree from node "
+                f"0 reaches only {np.count_nonzero(labels == labels[0])} of {n} nodes",
+                level=level,
+            )
+        chosen.append(order[tree[:, 2].astype(np.int64)])
+        rank[chosen[-1]] = gone
+    pos = np.concatenate(chosen)
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # row u holds edges below ends[u]
+    u = np.searchsorted(ends, pos, side="right")
+    return SimilarityGraph(np.stack([u, pos - ends[u] + n], axis=1), n, k=k)

@@ -29,7 +29,6 @@ __all__ = [
     "GeneratorSpec",
     "StudyResult",
     "scalar_block_spec",
-    "generate",
     "run_size_study",
     "run_power_study",
     "load_scenario",
@@ -151,14 +150,10 @@ def scalar_block_spec(
     )
 
 
-def generate(spec: GeneratorSpec, seed) -> PairedSample:
-    """Draw one paired sample; ``seed`` is anything default_rng accepts."""
-    return _generate(spec, np.random.default_rng(seed), _cov_factor(spec))
-
-
 def _generate(
     spec: GeneratorSpec, rng: np.random.Generator, factor: np.ndarray
 ) -> PairedSample:
+    """Draw one paired sample from ``rng``; ``factor`` comes from _cov_factor."""
     n, d = spec.n, spec.d
     z = rng.standard_normal((n, 2 * d))
     rows = z @ factor.T
@@ -223,7 +218,14 @@ def _run_study(
     for rep in range(replicates):
         rng = np.random.default_rng([seed, rep])
         sample = _generate(spec, rng, factor)
-        *_, triple = graph_test(distance_matrix(pool(sample)), k)
+        try:
+            dist = distance_matrix(pool(sample))
+        except ValidationError as exc:
+            var1, var2 = spec.gamma1.diagonal().max(), spec.gamma2.diagonal().max()
+            raise ValidationError(
+                f"scenario {scenario!r} (var1={var1:.4g}, var2={var2:.4g}): {exc}"
+            ) from None
+        *_, triple = graph_test(dist, k)
         pvals = asymptotic_pvalues(triple)
         for test, p in (
             ("z_m", pvals.p_m_asym),

@@ -293,6 +293,23 @@ def test_simulate_rejects_bad_dimension_and_variance(tmp_path, d, var1, message)
     assert "Traceback" not in proc.stderr
 
 
+def test_simulate_names_variances_whose_distances_overflow(tmp_path):
+    # the variances are accepted, but the distances of the drawn points are not
+    scenario = tmp_path / "huge.cfg"
+    scenario.write_text(
+        "scenario = huge\nmode = size\nfamily = normal\nn = 6\nd = 10\n"
+        "var1 = 1e307\nvar2 = 1e307\nreplicates = 1\n"
+    )
+    proc = run_cli("simulate", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: scenario 'huge' (var1=1e+307, var2=1e+307)")
+    assert "distances between the finite pooled observations overflow float64" in (
+        proc.stderr
+    )
+    assert "largest absolute coordinate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("reader", ["input", "dist-matrix", "simulate"])
 def test_non_utf8_file_exits_2_naming_the_line(tmp_path, pairs_csv, reader):
     bad = tmp_path / "bad.txt"

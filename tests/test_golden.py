@@ -65,6 +65,14 @@ def degenerate_mean():
     return run_paired_test(x, y, k=1, metric="manhattan", pvalue="both", seed=1)
 
 
+def asymptotic_n1500():
+    # 3000 pooled nodes: a k-MST over 4.5 million candidate edges
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((1500, 20))
+    y = 0.8 * x + 0.6 * rng.standard_normal((1500, 20))
+    return run_paired_test(x, y, k=5, pvalue="asymptotic")
+
+
 GOLDEN = {
     "monte_carlo_both_json": (
         lambda: report_json(monte_carlo_both()),
@@ -85,6 +93,10 @@ GOLDEN = {
     "degenerate_mean_json": (
         lambda: report_json(degenerate_mean()),
         "0781c2216a2a439d56c2e588623baa9d28ef4558e4e8514daeb8d447eea57ca4",
+    ),
+    "asymptotic_n1500_json": (
+        lambda: report_json(asymptotic_n1500()),
+        "4439665d38e15de6f93f108a5dd19ee76f85473ee75b2e31f4c621e2363356e4",
     ),
     "smoke_size_small_csv": (
         lambda: results_to_csv(

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from pairedgraph import (
     DisconnectedError,
@@ -9,6 +12,7 @@ from pairedgraph import (
     ValidationError,
     build_kmst,
     distance_matrix,
+    graph,
     precomputed_distance,
 )
 
@@ -42,6 +46,31 @@ def test_distance_matches_double_loop_oracle():
                 diff = points[i] - points[j]
                 want = np.sqrt(np.sum(diff**2)) if norm == 2 else np.sum(np.abs(diff))
                 assert got[i, j] == pytest.approx(want, abs=1e-12)
+
+
+def test_distances_are_byte_equal_to_cdist():
+    # the matrix is built from each pair once; it must carry cdist's bytes,
+    # on continuous, tie-heavy, rescaled and two-point inputs alike
+    rng = np.random.default_rng(34)
+    inputs = [rng.standard_normal((2, 3)), np.array([[0.0, 1.0], [0.0, 1.0]])]
+    for n_nodes in (3, 17, 120, 301):
+        inputs.append(rng.standard_normal((n_nodes, 7)))
+        inputs.append(np.round(rng.standard_normal((n_nodes, 4)), 1))
+        inputs.append(rng.integers(0, 3, size=(n_nodes, 3)).astype(float))
+        for scale in (1e-5, 1e5):
+            inputs.append(scale * rng.standard_normal((n_nodes, 5)))
+            inputs.append(scale * np.round(rng.standard_normal((n_nodes, 2)), 1))
+    for points in inputs:
+        for metric, name in (("euclidean", "euclidean"), ("manhattan", "cityblock")):
+            got = distance_matrix(points, metric).dist
+            assert got.tobytes() == cdist(points, points, name).tobytes()
+
+
+def test_overflowing_distances_are_named():
+    points = np.array([[1e308, 0.0], [-1e308, 0.0]])
+    with pytest.raises(ValidationError, match="overflow float64") as err:
+        distance_matrix(points)
+    assert "largest absolute coordinate 1e+308" in str(err.value)
 
 
 def test_unknown_metric_rejected():
@@ -166,6 +195,59 @@ def test_tie_break_is_lexicographic():
     with pytest.raises(DisconnectedError) as err:
         build_kmst(d, 2)
     assert err.value.level == 2
+    assert str(err.value) == (
+        "graph is disconnected at MST level 2: the tree from node 0 reaches "
+        "only 1 of 4 nodes"
+    )
+
+
+def reach_of_node_0(dist, used):
+    """Nodes joined to node 0 by edges of the complete graph not in ``used``."""
+    n = dist.n_nodes
+    free = np.ones((n, n), dtype=bool)
+    free[used[:, 0], used[:, 1]] = free[used[:, 1], used[:, 0]] = False
+    seen, todo = {0}, [0]
+    while todo:
+        for v in np.flatnonzero(free[todo.pop()]).tolist():
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return len(seen)
+
+
+def test_disconnection_message_counts_the_component_of_node_0():
+    # on tie-heavy grids a level often fails with node 0 in a larger component
+    rng = np.random.default_rng(35)
+    reaches = []
+    for n_nodes in (8, 13, 21, 34):
+        for dim in (1, 2):
+            pooled = rng.integers(0, 3, size=(n_nodes, dim)).astype(float)
+            dist = distance_matrix(pooled, "manhattan")
+            for k in range(2, n_nodes // 2 + 1):
+                try:
+                    build_kmst(dist, k)
+                except DisconnectedError as err:
+                    used = build_kmst(dist, err.level - 1).edges
+                    reach = reach_of_node_0(dist, used)
+                    want = f"reaches only {reach} of {n_nodes} nodes"
+                    assert str(err).endswith(want)
+                    reaches.append(reach)
+                    break
+    assert max(reaches) > 1
+
+
+def test_kmst_sort_key_guard_names_the_node_count(monkeypatch):
+    # (run, edge) keys reach E**2 - 1 for E = N(N-1)/2 edges and must fit in
+    # int64: at the real limit N = 77 937 is the first count refused, and a
+    # smaller limit checks both sides without a large allocation
+    with pytest.raises(ValidationError, match="N=77937 nodes"):
+        build_kmst(SimpleNamespace(n_nodes=77_937), 1)
+    dist = distance_matrix(np.random.default_rng(4).standard_normal((6, 2)))
+    monkeypatch.setattr(graph, "_KEY_MAX", 15 * 15)
+    assert build_kmst(dist, 2).n_edges == 10
+    monkeypatch.setattr(graph, "_KEY_MAX", 15 * 15 - 1)
+    with pytest.raises(ValidationError, match="N=6 nodes"):
+        build_kmst(dist, 2)
 
 
 def same_as_kruskal(dist, k):

@@ -10,7 +10,6 @@ from pairedgraph import (
     DisconnectedError,
     GeneratorSpec,
     ValidationError,
-    generate,
     load_scenario,
     results_to_csv,
     run_power_study,
@@ -18,7 +17,12 @@ from pairedgraph import (
     run_size_study,
     scalar_block_spec,
 )
-from pairedgraph.simulate import _cov_factor
+from pairedgraph.simulate import _cov_factor, _generate
+
+
+def draw_sample(spec, seed):
+    """One paired sample drawn from default_rng(seed), as a study replicate is."""
+    return _generate(spec, np.random.default_rng(seed), _cov_factor(spec))
 
 
 def test_spec_validates_shapes_and_psd():
@@ -26,7 +30,7 @@ def test_spec_validates_shapes_and_psd():
         scalar_block_spec("cauchy", 10, 2)
     with pytest.raises(ValidationError, match="positive semi-definite"):
         # cross block too strong for the marginals
-        generate(scalar_block_spec("normal", 5, 2, rho12=1.2), seed=0)
+        draw_sample(scalar_block_spec("normal", 5, 2, rho12=1.2), seed=0)
     with pytest.raises(ValidationError, match="nu1"):
         GeneratorSpec(
             family="normal",
@@ -60,17 +64,17 @@ def test_mean_shift_norm_is_exact():
 
 def test_generate_shapes_and_reproducibility():
     spec = scalar_block_spec("t3", 20, 3, mean_diff_norm=1.0)
-    a = generate(spec, seed=5)
-    b = generate(spec, seed=5)
+    a = draw_sample(spec, seed=5)
+    b = draw_sample(spec, seed=5)
     assert a.x.shape == (20, 3)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.y, b.y)
-    assert not np.array_equal(a.x, generate(spec, seed=6).x)
+    assert not np.array_equal(a.x, draw_sample(spec, seed=6).x)
 
 
 def test_zero_cross_block_gives_uncorrelated_samples():
     spec = scalar_block_spec("normal", 10_000, 2, rho12=0.0)
-    sample = generate(spec, seed=1)
+    sample = draw_sample(spec, seed=1)
     for i in range(2):
         for j in range(2):
             r = np.corrcoef(sample.x[:, i], sample.y[:, j])[0, 1]
@@ -79,7 +83,7 @@ def test_zero_cross_block_gives_uncorrelated_samples():
 
 def test_normal_covariance_targets_identity():
     spec = scalar_block_spec("normal", 100_000, 2)
-    sample = generate(spec, seed=2)
+    sample = draw_sample(spec, seed=2)
     cov = np.cov(sample.x, rowvar=False)
     assert np.allclose(cov, np.eye(2), atol=0.05)
     cross = np.cov(sample.x[:, 0], sample.y[:, 0])[0, 1]
@@ -90,7 +94,7 @@ def test_t3_variance_targets_gamma_diagonal():
     # heavy tails (no 4th moment) make the sample variance noisy, so the
     # seed is fixed; a wrong scale matrix would miss by a factor of 3
     spec = scalar_block_spec("t3", 100_000, 2, var1=2.0, var2=2.0, rho12=0.0)
-    sample = generate(spec, seed=2)
+    sample = draw_sample(spec, seed=2)
     for col in range(2):
         assert np.var(sample.x[:, col]) == pytest.approx(2.0, rel=0.05)
         assert np.var(sample.y[:, col]) == pytest.approx(2.0, rel=0.05)
@@ -98,7 +102,7 @@ def test_t3_variance_targets_gamma_diagonal():
 
 def test_lognormal_is_exp_of_normal():
     spec = scalar_block_spec("lognormal", 1000, 2)
-    sample = generate(spec, seed=4)
+    sample = draw_sample(spec, seed=4)
     assert (sample.x > 0).all() and (sample.y > 0).all()
     # log of the draw should look standard normal
     logs = np.log(sample.x).ravel()
