@@ -1,14 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation error, 3 degenerate null for a requested
-statistic. Every run is replayable: if --seed is omitted a fresh one is
-drawn and reported in the output.
+statistic. Every run is replayable: a run needing permutations without --seed
+draws one and reports it; asymptotic-only runs report seed null.
 """
 
 from __future__ import annotations
 
 import argparse
-import secrets
 import sys
 from pathlib import Path
 
@@ -93,7 +92,6 @@ def _cmd_test(args) -> int:
 
     sample = read_paired_csv(args.input)
     distances = read_distance_csv(args.dist_matrix) if args.dist_matrix else None
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
 
     report = run_paired_test(
         sample.x,
@@ -106,7 +104,7 @@ def _cmd_test(args) -> int:
         exact=args.exact,
         strict=args.strict,
         baseline_ht=args.baseline_ht,
-        seed=seed,
+        seed=args.seed,
     )
 
     print(report_json(report) if args.output == "json" else report_csv(report), end="")

@@ -1,4 +1,4 @@
-"""Distance matrices and k-MST similarity graphs on pooled observations.
+"""Condensed (``pdist`` order) distances and k-MST graphs on pooled observations.
 
 The k-MST is the union of k successive spanning trees, each the minimum one
 without the earlier trees' edges, grown as a single-linkage dendrogram (Gower &
@@ -34,33 +34,32 @@ class DisconnectedError(RuntimeError):
         self.level = level
 
 
+def _check_entries(d: np.ndarray) -> None:
+    if not np.isfinite(d).all():
+        raise ValidationError("distance matrix contains non-finite entries")
+    if (d < 0).any():
+        raise ValidationError("distance matrix contains negative entries")
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric, non-negative, zero-diagonal inter-point distances."""
+    """Distances of the pairs u < v of N >= 2 nodes, condensed in pdist order."""
 
-    dist: np.ndarray
+    condensed: np.ndarray
     metric: str
 
     def __post_init__(self) -> None:
-        d = np.array(self.dist, dtype=float)  # a private copy
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValidationError(f"distance matrix must be square, got {d.shape}")
-        if d.shape[0] < 2:
-            raise ValidationError("distance matrix needs at least 2 nodes")
-        if not np.isfinite(d).all():
-            raise ValidationError("distance matrix contains non-finite entries")
-        if (d < 0).any():
-            raise ValidationError("distance matrix contains negative entries")
-        if not np.array_equal(d, d.T):
-            raise ValidationError("distance matrix is not symmetric")
-        if np.any(np.diag(d) != 0.0):
-            raise ValidationError("distance matrix diagonal must be zero")
+        d = np.array(self.condensed, dtype=float)  # a private copy
+        object.__setattr__(self, "condensed", d)
+        n = self.n_nodes
+        if d.ndim != 1 or n < 2 or n * (n - 1) // 2 != d.size:
+            raise ValidationError(f"need N(N-1)/2 distances, N >= 2; got {d.shape}")
+        _check_entries(d)
         d.setflags(write=False)
-        object.__setattr__(self, "dist", d)
 
     @property
     def n_nodes(self) -> int:
-        return self.dist.shape[0]
+        return int((2 * self.condensed.size) ** 0.5) + 1  # sqrt(N(N-1)) < N - 1/2
 
 
 def distance_matrix(pooled, metric: str = "euclidean") -> DistanceMatrix:
@@ -75,7 +74,7 @@ def distance_matrix(pooled, metric: str = "euclidean") -> DistanceMatrix:
         raise ValidationError("pooled observations must be a 2-D matrix")
     if not np.isfinite(points).all():
         raise ValidationError("pooled observations contain non-finite entries")
-    dist = squareform(pdist(points, _METRICS[metric]))
+    dist = pdist(points, _METRICS[metric])
     if not np.isfinite(dist).all():
         raise ValidationError(
             "distances between the finite pooled observations overflow float64 "
@@ -85,8 +84,18 @@ def distance_matrix(pooled, metric: str = "euclidean") -> DistanceMatrix:
 
 
 def precomputed_distance(matrix) -> DistanceMatrix:
-    """Wrap a user-supplied distance matrix (any metric, already evaluated)."""
-    return DistanceMatrix(np.asarray(matrix, dtype=float), "precomputed")
+    """Check and condense a user-supplied N x N matrix (any metric, evaluated)."""
+    d = np.asarray(matrix, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValidationError(f"distance matrix must be square, got {d.shape}")
+    if d.shape[0] < 2:
+        raise ValidationError("distance matrix needs at least 2 nodes")
+    _check_entries(d)
+    if not np.array_equal(d, d.T):
+        raise ValidationError("distance matrix is not symmetric")
+    if np.any(np.diag(d) != 0.0):
+        raise ValidationError("distance matrix diagonal must be zero")
+    return DistanceMatrix(squareform(d, checks=False), "precomputed")
 
 
 @dataclass(frozen=True)
@@ -109,8 +118,8 @@ class SimilarityGraph:
             raise ValidationError("self-loops are not allowed")
         if (lo < 0).any() or (hi >= self.n_nodes).any():
             raise ValidationError("edge endpoint out of range")
-        keys = np.unique(lo * self.n_nodes + hi)  # sorted: rows in (u, v) order
-        if keys.size != lo.size:
+        keys = np.sort(lo * self.n_nodes + hi)  # rows in (u, v) order
+        if (keys[1:] == keys[:-1]).any():
             raise ValidationError("duplicate edges are not allowed")
         edges = np.stack(np.divmod(keys, self.n_nodes), axis=1)
         edges.setflags(write=False)
@@ -121,13 +130,27 @@ class SimilarityGraph:
         return self.edges.shape[0]
 
 
+def _edge_order(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions sorted by (w, position), and w sorted; only ties are re-sorted."""
+    order = np.argsort(w)  # equal weights come out in any order
+    w = w[order]
+    head = np.r_[True, w[1:] != w[:-1]]  # slot s starts an equal-weight run
+    slots = np.flatnonzero(~(head & np.r_[head[1:], True]))  # in a tied run
+    key = np.maximum.accumulate(np.where(head[slots], slots, 0)) * w.size
+    key += order[slots]  # distinct (run start, position) keys
+    key.sort()
+    order[slots] = key % w.size
+    return order, w
+
+
 def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
     """Union of k successive edge-disjoint minimum spanning trees.
 
-    Edges are ranked once by (weight, u, v), u < v, so each level's tree is
-    unique; scipy's single-linkage Prim grows it and returns its edges' ranks
-    as merge heights. A used edge gets the rank ``gone`` = N(N-1)/2, above
-    every real edge. Raises DisconnectedError at the first level that cannot span.
+    Edges are ranked once by (weight, u, v), u < v, which is (weight, condensed
+    position), so each level's tree is unique; scipy's single-linkage Prim grows
+    it over the condensed ranks and returns its edges' ranks as merge heights. A
+    used edge gets the rank ``gone`` = N(N-1)/2, above every real edge. Raises
+    DisconnectedError at the first level that cannot span.
     """
     if int(k) != k or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
@@ -141,18 +164,8 @@ def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
     gone = n * (n - 1) // 2
     if gone * gone > _KEY_MAX:
         raise ValidationError(f"N={n} nodes overflow the k-MST's int64 sort keys")
-    # edge p is the p-th (u, v) in condensed order: (weight, p) is (weight, u, v)
-    w = squareform(dist.dist, checks=False)
-    order = np.argsort(w)  # equal weights come out in any order
-    w = w[order]
-    key = np.zeros(gone, dtype=np.int64)
-    np.cumsum(w[1:] != w[:-1], out=key[1:])  # equal-weight run of each slot
-    key *= gone
-    key += order
-    key.sort()  # the (run, p) keys are distinct: p order within each run
-    order = np.remainder(key, gone, out=key)  # the edge of each rank
-    rank = w  # reuses the sorted weights' buffer
-    rank[order] = np.arange(gone)
+    order, rank = _edge_order(dist.condensed)  # order[r]: the edge of rank r
+    rank[order] = np.arange(gone)  # reuses the sorted weights' buffer
     chosen = []
     for level in range(1, k + 1):
         tree = linkage(rank, method="single")

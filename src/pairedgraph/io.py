@@ -28,12 +28,11 @@ def _expected_header(d: int) -> list[str]:
 
 
 def _read_text(path: Path) -> str:
-    """The file decoded as UTF-8; a bad byte fails naming its 1-based line."""
-    data = path.read_bytes()
+    """The file as UTF-8 text, a leading BOM dropped; a bad byte names its line."""
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the data after any BOM
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"{path}: line {line}: not valid UTF-8 text") from None
 
 

@@ -3,6 +3,7 @@
 Everything here is deliberately written from the definitions, without reusing
 the library's vectorized machinery: plain loops over all 2^n label swaps,
 Prufer-sequence enumeration of spanning trees, Kruskal passes for the k-MST,
+the k-MST's earlier edge ranking (one key sort over every edge),
 exact rational arithmetic for permutation p-values, a per-edge label gather
 for swap counts, and edge-pair key matching for the variance count q.
 """
@@ -10,6 +11,7 @@ for swap counts, and edge-pair key matching for the variance count q.
 from fractions import Fraction
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from pairedgraph import DisconnectedError
 
@@ -229,7 +231,7 @@ def kruskal_kmst(dist, k):
     """
     n = dist.n_nodes
     iu, iv = np.triu_indices(n, 1)
-    order = np.lexsort((iv, iu, dist.dist[iu, iv]))
+    order = np.lexsort((iv, iu, squareform(dist.condensed)[iu, iv]))
     us = iu[order].tolist()
     vs = iv[order].tolist()
     taken = bytearray(len(us))
@@ -264,6 +266,23 @@ def kruskal_kmst(dist, k):
             raise DisconnectedError(f"no spanning tree at level {level}", level=level)
     edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
     return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+
+def key_sort_order(w):
+    """Positions sorted by (w, position) as build_kmst once ranked them.
+
+    One int64 sort over all E edges of (equal-weight run, position) keys,
+    built after an argsort whose tie order is arbitrary.
+    """
+    gone = w.size
+    order = np.argsort(w)
+    w = w[order]
+    key = np.zeros(gone, dtype=np.int64)
+    np.cumsum(w[1:] != w[:-1], out=key[1:])  # equal-weight run of each slot
+    key *= gone
+    key += order
+    key.sort()
+    return key % gone
 
 
 def random_cross_edges(rng, n, prob=None):

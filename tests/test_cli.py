@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from pairedgraph import PairedSample, write_paired_csv
 
@@ -71,9 +72,18 @@ def test_same_seed_byte_identical(pairs_csv):
 
 
 def test_missing_seed_is_drawn_and_reported(pairs_csv):
-    proc = run_cli("test", "--input", str(pairs_csv))
+    proc = run_cli("test", "--input", str(pairs_csv), "--pvalue", "permutation")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["seed"] is not None
+
+
+def test_unseeded_asymptotic_runs_report_no_seed(pairs_csv):
+    # nothing random runs, so nothing is drawn: two runs print the same bytes
+    a = run_cli("test", "--input", str(pairs_csv))
+    b = run_cli("test", "--input", str(pairs_csv))
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+    assert '"seed":null' in a.stdout
 
 
 def test_k_zero_is_validation_error(pairs_csv):
@@ -148,7 +158,8 @@ def test_precomputed_metric_roundtrip(pairs_csv, tmp_path):
     sample = read_paired_csv(pairs_csv)
     dist = distance_matrix(pool(sample))
     dist_path = tmp_path / "dist.csv"
-    rows = [",".join(format(v, ".17g") for v in row) for row in dist.dist]
+    square = squareform(dist.condensed)
+    rows = [",".join(format(v, ".17g") for v in row) for row in square]
     dist_path.write_text("\n".join(rows) + "\n")
 
     euclid = run_cli("test", "--input", str(pairs_csv), "--seed", "1")

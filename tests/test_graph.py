@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from pairedgraph import (
     DisconnectedError,
+    DistanceMatrix,
     SimilarityGraph,
     ValidationError,
     build_kmst,
@@ -16,31 +17,35 @@ from pairedgraph import (
     precomputed_distance,
 )
 
-from oracles import kruskal_kmst, min_spanning_weight
+from oracles import key_sort_order, kruskal_kmst, min_spanning_weight
+
+
+def square(dist):
+    return squareform(dist.condensed)
 
 
 def weight(graph, dist):
     """Total distance over the graph's edges."""
-    return float(dist.dist[graph.edges[:, 0], graph.edges[:, 1]].sum())
+    return float(square(dist)[graph.edges[:, 0], graph.edges[:, 1]].sum())
 
 
 def test_euclidean_three_four_five():
     d = distance_matrix(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    assert d.dist[0, 1] == 5.0
-    assert d.dist[1, 0] == 5.0
-    assert d.dist[0, 0] == 0.0
+    assert d.condensed.tolist() == [5.0]
+    assert d.n_nodes == 2
+    assert square(d).tolist() == [[0.0, 5.0], [5.0, 0.0]]
 
 
 def test_identical_rows_distance_zero():
     d = distance_matrix(np.array([[1.5, -2.0], [1.5, -2.0]]))
-    assert d.dist[0, 1] == 0.0
+    assert d.condensed.tolist() == [0.0]
 
 
 def test_distance_matches_double_loop_oracle():
     rng = np.random.default_rng(3)
     points = rng.standard_normal((6, 3))
     for metric, norm in (("euclidean", 2), ("manhattan", 1)):
-        got = distance_matrix(points, metric).dist
+        got = square(distance_matrix(points, metric))
         for i in range(6):
             for j in range(6):
                 diff = points[i] - points[j]
@@ -48,9 +53,8 @@ def test_distance_matches_double_loop_oracle():
                 assert got[i, j] == pytest.approx(want, abs=1e-12)
 
 
-def test_distances_are_byte_equal_to_cdist():
-    # the matrix is built from each pair once; it must carry cdist's bytes,
-    # on continuous, tie-heavy, rescaled and two-point inputs alike
+def distance_inputs():
+    """Continuous, tie-heavy, rescaled and two-point inputs."""
     rng = np.random.default_rng(34)
     inputs = [rng.standard_normal((2, 3)), np.array([[0.0, 1.0], [0.0, 1.0]])]
     for n_nodes in (3, 17, 120, 301):
@@ -60,10 +64,28 @@ def test_distances_are_byte_equal_to_cdist():
         for scale in (1e-5, 1e5):
             inputs.append(scale * rng.standard_normal((n_nodes, 5)))
             inputs.append(scale * np.round(rng.standard_normal((n_nodes, 2)), 1))
-    for points in inputs:
-        for metric, name in (("euclidean", "euclidean"), ("manhattan", "cityblock")):
-            got = distance_matrix(points, metric).dist
+    return inputs
+
+
+METRICS = (("euclidean", "euclidean"), ("manhattan", "cityblock"))
+
+
+def test_distances_are_byte_equal_to_cdist():
+    # each pair is computed once; expanded, it must carry cdist's bytes
+    for points in distance_inputs():
+        for metric, name in METRICS:
+            got = square(distance_matrix(points, metric))
             assert got.tobytes() == cdist(points, points, name).tobytes()
+
+
+def test_condensed_distances_are_pdist_bytes():
+    # nothing is expanded, checked twice or re-condensed on the way in
+    for points in distance_inputs():
+        for metric, name in METRICS:
+            got = distance_matrix(points, metric)
+            assert got.condensed.tobytes() == pdist(points, name).tobytes()
+            assert got.n_nodes == points.shape[0]
+            assert not got.condensed.flags.writeable
 
 
 def test_overflowing_distances_are_named():
@@ -79,13 +101,45 @@ def test_unknown_metric_rejected():
 
 
 def test_precomputed_validation():
-    bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValidationError, match="symmetric"):
-        precomputed_distance(bad)
-    with pytest.raises(ValidationError, match="diagonal"):
-        precomputed_distance(np.array([[1.0, 2.0], [2.0, 0.0]]))
-    with pytest.raises(ValidationError, match="negative"):
-        precomputed_distance(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    # every check on the user's square matrix, in order, with its full message
+    for matrix, message in [
+        (np.zeros((2, 3)), r"distance matrix must be square, got \(2, 3\)"),
+        (np.zeros(4), r"distance matrix must be square, got \(4,\)"),
+        (np.zeros((1, 1)), "distance matrix needs at least 2 nodes"),
+        # a NaN or a negative entry below the diagonal is named as such, not
+        # as an asymmetry
+        ([[0.0, 1.0], [np.nan, 0.0]], "distance matrix contains non-finite entries"),
+        ([[0.0, 1.0], [np.inf, 0.0]], "distance matrix contains non-finite entries"),
+        ([[0.0, 1.0], [-1.0, 0.0]], "distance matrix contains negative entries"),
+        ([[0.0, 1.0], [2.0, 0.0]], "distance matrix is not symmetric"),
+        ([[1.0, 2.0], [2.0, 0.0]], "distance matrix diagonal must be zero"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            precomputed_distance(matrix)
+
+
+def test_precomputed_distance_is_condensed():
+    matrix = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    d = precomputed_distance(matrix)
+    assert d.condensed.tolist() == [1.0, 2.0, 3.0]
+    assert (d.n_nodes, d.metric) == (3, "precomputed")
+    matrix[0, 1] = 9.0  # the caller's matrix is not shared
+    assert d.condensed[0] == 1.0
+
+
+@pytest.mark.parametrize("condensed", [[], [1.0, 2.0], np.zeros((1, 1)), np.zeros(5)])
+def test_condensed_length_must_be_triangular(condensed):
+    with pytest.raises(ValidationError, match=r"need N\(N-1\)/2 distances, N >= 2"):
+        DistanceMatrix(condensed, "precomputed")
+
+
+@pytest.mark.parametrize(
+    "condensed, message",
+    [([1.0, np.nan, 2.0], "non-finite"), ([1.0, -2.0, 2.0], "negative")],
+)
+def test_condensed_entries_are_checked(condensed, message):
+    with pytest.raises(ValidationError, match=message):
+        DistanceMatrix(condensed, "precomputed")
 
 
 def test_mst_two_nodes():
@@ -109,7 +163,7 @@ def test_mst_matches_exhaustive_enumeration():
         tree = build_kmst(d, 1)
         assert tree.n_edges == 5
         assert weight(tree, d) == pytest.approx(
-            min_spanning_weight(d.dist), abs=1e-10
+            min_spanning_weight(square(d)), abs=1e-10
         )
 
 
@@ -119,7 +173,7 @@ def test_kmst_k1_equals_mst():
     d = distance_matrix(rng.standard_normal((8, 2)))
     tree = build_kmst(d, 1)
     assert tree.n_edges == 7
-    assert weight(tree, d) == pytest.approx(min_spanning_weight(d.dist), abs=1e-10)
+    assert weight(tree, d) == pytest.approx(min_spanning_weight(square(d)), abs=1e-10)
     two = {tuple(e) for e in build_kmst(d, 2).edges.tolist()}
     assert {tuple(e) for e in tree.edges.tolist()} <= two
 
@@ -250,6 +304,39 @@ def test_kmst_sort_key_guard_names_the_node_count(monkeypatch):
         build_kmst(dist, 2)
 
 
+@pytest.mark.parametrize(
+    "w",
+    [
+        [1.0, 1.0, 1.0, 2.0, 3.0],  # a tied run at slot 0
+        [3.0, 2.0, 1.0, 5.0, 5.0],  # a tied run at the last slot
+        [4.0, 0.5, 2.0, 0.5, 3.0],  # a single tied pair
+        [7.0] * 9,  # all weights equal
+        [0.0] * 6,
+        [4.0, 1.0, 3.0, 2.0, 0.0, 5.0],  # no ties
+        [2.0],  # one edge (N = 2)
+        [2.0, 1.0, 2.0, 1.0, 2.0, 0.0, 1.0],  # several runs, interleaved
+    ],
+)
+def test_edge_order_matches_the_full_key_sort(w):
+    w = np.array(w)
+    order, ranked = graph._edge_order(w)
+    assert np.array_equal(order, key_sort_order(w))
+    assert np.array_equal(ranked, w[order])
+
+
+def test_edge_order_matches_the_full_key_sort_on_grids():
+    # {0, 1, 2}^d points: long runs of equal distances
+    rng = np.random.default_rng(36)
+    for n_nodes in (2, 3, 7, 12, 34, 78, 150):
+        for dim in (1, 2, 4):
+            pooled = rng.integers(0, 3, size=(n_nodes, dim)).astype(float)
+            for metric in ("manhattan", "euclidean"):
+                w = distance_matrix(pooled, metric).condensed
+                order, ranked = graph._edge_order(w)
+                assert np.array_equal(order, key_sort_order(w))
+                assert np.array_equal(ranked, w[order])
+
+
 def same_as_kruskal(dist, k):
     """Require build_kmst to give Kruskal's edges, or fail at Kruskal's level.
 
@@ -328,5 +415,13 @@ def test_similarity_graph_rejects_junk():
         SimilarityGraph(np.array([[1, 1]]), 4)
     with pytest.raises(ValidationError, match="duplicate"):
         SimilarityGraph(np.array([[0, 1], [1, 0]]), 4)
+    with pytest.raises(ValidationError, match="^duplicate edges are not allowed$"):
+        SimilarityGraph(np.array([[2, 3], [0, 1], [1, 2], [3, 2]]), 4)
     with pytest.raises(ValidationError, match="range"):
         SimilarityGraph(np.array([[0, 9]]), 4)
+
+
+def test_similarity_graph_orders_rows():
+    graph = SimilarityGraph(np.array([[3, 2], [0, 3], [1, 0], [2, 1]]), 4)
+    assert graph.edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
+    assert SimilarityGraph(np.zeros((0, 2), dtype=int), 4).n_edges == 0

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from pairedgraph import (
     PairedSample,
     ValidationError,
+    load_scenario,
     precomputed_distance,
     read_distance_csv,
     read_paired_csv,
@@ -53,11 +55,49 @@ def test_distance_csv_round_trip(tmp_path):
 
     dist = distance_matrix(points)
     path = tmp_path / "dist.csv"
-    rows = [",".join(format(v, ".17g") for v in row) for row in dist.dist]
+    square = squareform(dist.condensed)
+    rows = [",".join(format(v, ".17g") for v in row) for row in square]
     path.write_text("\n".join(rows) + "\n")
     back = read_distance_csv(path)
     assert back.metric == "precomputed"
-    assert np.array_equal(back.dist, dist.dist)
+    assert np.array_equal(back.condensed, dist.condensed)
+
+
+BOM = "\ufeff".encode()  # what spreadsheet "CSV UTF-8" exports put first
+
+
+def with_and_without_bom(tmp_path, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    return plain, marked
+
+
+def test_paired_csv_ignores_a_leading_bom(tmp_path):
+    plain, marked = with_and_without_bom(tmp_path, "x1,x2,y1,y2\n1,2,3,4\n5,6,7,9\n")
+    want, got = read_paired_csv(plain), read_paired_csv(marked)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+
+
+def test_distance_csv_ignores_a_leading_bom(tmp_path):
+    plain, marked = with_and_without_bom(tmp_path, "0,1,2\n1,0,3\n2,3,0\n")
+    want, got = read_distance_csv(plain), read_distance_csv(marked)
+    assert np.array_equal(got.condensed, want.condensed)
+
+
+def test_scenario_ignores_a_leading_bom(tmp_path):
+    text = "scenario = bom\nmode = size\nfamily = normal\nn = 6\nd = 2\n"
+    plain, marked = with_and_without_bom(tmp_path, text)
+    want, got = load_scenario(plain), load_scenario(marked)
+    assert got.name == "bom"
+    assert repr(got) == repr(want)  # small arrays: repr shows every entry
+
+
+def test_bad_byte_after_a_bom_names_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(BOM + b"x1,y1\n1,2\n\xff,3\n")
+    with pytest.raises(ValidationError, match="line 3: not valid UTF-8"):
+        read_paired_csv(path)
 
 
 def test_distance_csv_rejects_asymmetry(tmp_path):
