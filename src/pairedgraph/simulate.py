@@ -93,7 +93,9 @@ class GeneratorSpec:
 def _cov_factor(spec: GeneratorSpec) -> np.ndarray:
     """A factor L with L L' equal to the stacked covariance; PSD validated."""
     full = spec.stacked_cov()
-    sym = (full + full.T) / 2.0
+    # halve before adding: an out-of-range cross block must reach the PSD
+    # check below, not overflow the sum
+    sym = full / 2.0 + full.T / 2.0
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
@@ -124,7 +126,7 @@ def scalar_block_spec(
     of the shift equals the requested target. gamma12 = rho12 *
     sqrt(var1) * sqrt(var2) * I keeps the per-coordinate cross correlation at
     rho12 for any variance scaling. Variances above half the largest float
-    are rejected, because the stacked covariance is symmetrized by a sum.
+    are rejected, so the stacked covariance stays clear of overflow.
     """
     if d < 1:
         raise ValidationError(f"need d >= 1 dimensions, got {d}")
@@ -163,6 +165,12 @@ def _generate(
         rows /= np.sqrt(w)[:, None]
     rows += spec.stacked_mean()
     if spec.family == "lognormal":
+        top = rows.max()
+        if top > np.log(sys.float_info.max):
+            raise ValidationError(
+                f"lognormal draw overflows float64 (largest log-scale coordinate "
+                f"{top:.4g}); lower mean_diff_norm or the variances"
+            )
         rows = np.exp(rows)
     return PairedSample(x=rows[:, :d], y=rows[:, d:])
 

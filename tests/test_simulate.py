@@ -56,6 +56,18 @@ def test_largest_accepted_variances_keep_the_factor_finite():
     assert np.isfinite(_cov_factor(spec)).all()
 
 
+def test_huge_cross_correlation_fails_the_psd_check():
+    spec = scalar_block_spec("normal", 2, 1, rho12=1e308)
+    with pytest.raises(ValidationError, match="positive semi-definite"):
+        _cov_factor(spec)
+
+
+def test_overflowing_lognormal_draw_is_named():
+    spec = scalar_block_spec("lognormal", 2, 1, mean_diff_norm=1e308)
+    with pytest.raises(ValidationError, match="lognormal draw overflows"):
+        draw_sample(spec, seed=0)
+
+
 def test_mean_shift_norm_is_exact():
     for d, target in ((50, 1.3), (100, 1.5), (1000, 2.9), (7, 0.8)):
         spec = scalar_block_spec("normal", 10, d, mean_diff_norm=target)
