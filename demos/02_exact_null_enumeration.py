@@ -11,6 +11,7 @@ import numpy as np
 
 from pairedgraph import (
     build_kmst,
+    condition_diagnostics,
     distance_matrix,
     exhaustive_edge_counts,
     exhaustive_null_moments,
@@ -20,7 +21,6 @@ from pairedgraph import (
     standardize,
 )
 from pairedgraph.core import PairedSample
-from pairedgraph.moments import _pair_links, _q_and_s
 
 rng = np.random.default_rng(42)
 n, d = 7, 3
@@ -28,9 +28,9 @@ n, d = 7, 3
 sample = PairedSample(x=rng.standard_normal((n, d)), y=rng.standard_normal((n, d)))
 cross = extract_cross_pair_graph(build_kmst(distance_matrix(pool(sample)), 2))
 
-q, s = _q_and_s(cross)
-print(f"{n} pairs, 2-MST: {cross.n_edges} cross-pair edges on "
-      f"{_pair_links(cross)[0].size} pair-pair links, q={q}, s={s}")
+diag = condition_diagnostics(cross)
+print(f"{n} pairs, 2-MST: {cross.n_edges} cross-pair edges, "
+      f"q={diag.q3}, s={diag.sum_degdiff_sq}")
 
 analytic = null_moments(cross)
 brute = exhaustive_null_moments(cross)

@@ -47,6 +47,8 @@ __all__ = [
 DEFAULT_EXACT_THRESHOLD = 20
 RNG_ALGORITHM = "PCG64"
 _CHUNK = 1 << 14
+_ORACLE_MAX_K = 3  # largest k-MST multiplicity the oracle sweep draws
+_ORACLE_TOLERANCE = 1e-9
 
 
 class ExactTooLargeError(ValidationError):
@@ -298,9 +300,7 @@ def run_oracle_validation(
     min_pairs: int = 2,
     max_pairs: int = 10,
     max_dim: int = 5,
-    max_k: int = 3,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> _OracleSummary:
     """Compare analytic moments with exhaustive enumeration on random inputs.
 
@@ -327,7 +327,7 @@ def run_oracle_validation(
         n = int(rng.integers(min_pairs, max_pairs + 1))
         if i % 2 == 0:
             d = int(rng.integers(1, max_dim + 1))
-            k = int(rng.integers(1, min(max_k, n) + 1))
+            k = int(rng.integers(1, min(_ORACLE_MAX_K, n) + 1))
             pooled = rng.standard_normal((2 * n, d))
             dist = distance_matrix(pooled)
             # Successive MSTs can run out of edges at a node on tiny inputs;
@@ -362,5 +362,5 @@ def run_oracle_validation(
         max_moment_error=max_moment_error,
         max_identity_residual=max_residual,
         census_mismatches=census_mismatches,
-        tolerance=tolerance,
+        tolerance=_ORACLE_TOLERANCE,
     )

@@ -3,7 +3,8 @@
 Paired samples travel in a single file with header ``x1,...,xd,y1,...,yd``
 and one row per pair, which keeps the pairing explicit. Floats are written
 with 17 significant digits, so a write/read round trip is exact. Distance
-matrices are plain N x N numeric CSVs and must be exactly symmetric.
+matrices are plain N x N numeric CSVs and must be exactly symmetric. Cells
+must parse as finite floats; errors name the file line where the record starts.
 """
 
 from __future__ import annotations
@@ -36,55 +37,64 @@ def _read_text(path: Path) -> str:
         raise ValidationError(f"{path}: line {line}: not valid UTF-8 text") from None
 
 
+def _records(path: Path):
+    """Yield each CSV record of the file with the file line it starts on."""
+    reader = csv.reader(StringIO(_read_text(path), newline=""))
+    line = 1
+    try:
+        for record in reader:
+            yield line, record
+            line = reader.line_num + 1
+    except csv.Error as exc:  # a stray quote can run past the field size limit
+        raise ValidationError(f"{path}: line {line}: malformed CSV ({exc})") from None
+
+
+def _float_rows(path: Path, records, columns: list[str] | None = None) -> np.ndarray:
+    """Non-blank records as rows of finite floats; without ``columns`` the first
+    record sets the field count and columns are numbered from 1."""
+    rows = []
+    for line, record in records:
+        if all(not cell.strip() for cell in record):
+            continue
+        columns = columns or [str(j) for j in range(1, len(record) + 1)]
+        if len(record) != len(columns):
+            got = f"expected {len(columns)} fields, got {len(record)}"
+            raise ValidationError(f"{path}: line {line}: {got}")
+        try:
+            values = list(map(float, record))
+        except ValueError:
+            values = [math.nan]  # some cell is bad: the walk below names it
+        if not all(map(math.isfinite, values)):
+            for name, cell in zip(columns, record):
+                try:
+                    if math.isfinite(float(cell)):
+                        continue
+                    problem = "non-finite value"
+                except ValueError:
+                    problem = f"cannot parse {cell.strip()!r} as a number"
+                raise ValidationError(f"{path}: line {line}: column {name}: {problem}")
+        rows.append(values)
+    return np.array(rows, dtype=float)
+
+
 def read_paired_csv(path) -> PairedSample:
     """Read a paired sample; errors name the offending 1-based file line."""
     path = Path(path)
-    with StringIO(_read_text(path), newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty") from None
-        header = [name.strip() for name in header]
-        if len(header) < 2 or len(header) % 2:
-            raise ValidationError(
-                f"{path}: header must list x1..xd,y1..yd, got {len(header)} columns"
-            )
-        d = len(header) // 2
-        if header != _expected_header(d):
-            raise ValidationError(
-                f"{path}: header must be exactly x1..x{d},y1..y{d}"
-            )
-
-        rows: list[list[float]] = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if len(record) != 2 * d:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected {2 * d} fields, "
-                    f"got {len(record)}"
-                )
-            values = []
-            for name, cell in zip(header, record):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: column {name}: "
-                        f"cannot parse {cell.strip()!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValidationError(
-                        f"{path}: line {lineno}: column {name}: "
-                        "non-finite value"
-                    )
-                values.append(value)
-            rows.append(values)
-
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    data = np.array(rows, dtype=float)
+    records = _records(path)
+    _, header = next(records, (1, None))
+    if header is None:
+        raise ValidationError(f"{path}: file is empty")
+    header = [name.strip() for name in header]
+    if len(header) < 2 or len(header) % 2:
+        raise ValidationError(
+            f"{path}: header must list x1..xd,y1..yd, got {len(header)} columns"
+        )
+    d = len(header) // 2
+    if header != _expected_header(d):
+        raise ValidationError(f"{path}: header must be exactly x1..x{d},y1..y{d}")
+    data = _float_rows(path, records, header)
+    if len(data) < 2:
+        raise ValidationError(f"{path}: need at least 2 data rows, got {len(data)}")
     return PairedSample(x=data[:, :d], y=data[:, d:])
 
 
@@ -100,32 +110,10 @@ def write_paired_csv(sample: PairedSample, path) -> None:
 def read_distance_csv(path) -> DistanceMatrix:
     """Read an N x N distance matrix (no header, comma separated)."""
     path = Path(path)
-    rows = []
-    width = None
-    with StringIO(_read_text(path), newline="") as handle:
-        for lineno, record in enumerate(csv.reader(handle), start=1):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if width is None:
-                width = len(record)
-            elif len(record) != width:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected {width} fields, "
-                    f"got {len(record)}"
-                )
-            try:
-                rows.append([float(cell) for cell in record])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: non-numeric entry"
-                ) from None
-    if not rows:
+    data = _float_rows(path, _records(path))
+    if not data.size:
         raise ValidationError(f"{path}: file is empty")
-    if len(rows) != width:
-        raise ValidationError(
-            f"{path}: matrix must be square, got {len(rows)} rows of {width} columns"
-        )
     try:
-        return precomputed_distance(np.array(rows, dtype=float))
+        return precomputed_distance(data)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

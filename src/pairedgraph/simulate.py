@@ -85,10 +85,6 @@ class GeneratorSpec:
     def stacked_mean(self) -> np.ndarray:
         return np.concatenate([self.nu1, self.nu2])
 
-    def mean_diff_norm(self) -> float:
-        """Realized ||nu1 - nu2||, for checking against a target."""
-        return float(np.linalg.norm(self.nu1 - self.nu2))
-
 
 def _cov_factor(spec: GeneratorSpec) -> np.ndarray:
     """A factor L with L L' equal to the stacked covariance; PSD validated."""
@@ -188,7 +184,6 @@ class StudyResult:
     rejections: dict  # test -> {level -> count}
     valid: dict  # test -> replicates where the statistic was defined
     degenerate: dict  # test -> replicates where it was not
-    realized_mean_diff_norm: float
 
     def proportion(self, test: str, level: float) -> float:
         if self.valid[test] == 0:
@@ -266,7 +261,6 @@ def _run_study(
         rejections=rejections,
         valid=valid,
         degenerate=degenerate,
-        realized_mean_diff_norm=spec.mean_diff_norm(),
     )
 
 

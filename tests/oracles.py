@@ -5,15 +5,23 @@ the library's vectorized machinery: plain loops over all 2^n label swaps,
 Prufer-sequence enumeration of spanning trees, Kruskal passes for the k-MST,
 the k-MST's earlier edge ranking (one key sort over every edge),
 exact rational arithmetic for permutation p-values, a per-edge label gather
-for swap counts, and edge-pair key matching for the variance count q.
+for swap counts, edge-pair key matching for the variance count q, the
+pair-of-pairs census of q3 as a loop over edge pairs, and the paired-CSV
+reader's earlier cell-by-cell record loop.
 """
 
+import csv
+import itertools
+import math
 from fractions import Fraction
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import squareform
 
-from pairedgraph import DisconnectedError
+from pairedgraph import DisconnectedError, PairedSample, ValidationError
+from pairedgraph.io import _expected_header, _read_text
 
 
 def enumerate_counts(edges, n):
@@ -297,3 +305,84 @@ def random_cross_edges(rng, n, prob=None):
             if rng.random() < prob:
                 edges.append((u, v))
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def census_q3_loop(cross):
+    """q3 by walking every pair-pair group of edges and every pair of its edges.
+
+    Each group of edges joining the same two pairs adds its edge count, +2 per
+    two edges sharing no node and -2 per two edges sharing one.
+    """
+    if cross.n_edges == 0:
+        return 0
+    n = cross.n_pairs
+    u, v = cross.edges[:, 0], cross.edges[:, 1]
+    pu, pv = u % n, v % n
+    group = np.minimum(pu, pv) * n + np.maximum(pu, pv)
+    order = np.argsort(group, kind="stable")
+    total = 0
+    for _, members in itertools.groupby(order, key=lambda eid: group[eid]):
+        ids = list(members)
+        total += len(ids)
+        for a, b in itertools.combinations(ids, 2):
+            shared = len(
+                {int(u[a]), int(v[a])} & {int(u[b]), int(v[b])}
+            )
+            total += -2 if shared else 2
+    return total
+
+
+def read_paired_csv_by_cell(path) -> PairedSample:
+    """The paired-CSV reader as it was before its records shared one parser.
+
+    It converts cell by cell, counts records rather than file lines, and lets
+    ``csv.Error`` escape.
+    """
+    path = Path(path)
+    with StringIO(_read_text(path), newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: file is empty") from None
+        header = [name.strip() for name in header]
+        if len(header) < 2 or len(header) % 2:
+            raise ValidationError(
+                f"{path}: header must list x1..xd,y1..yd, got {len(header)} columns"
+            )
+        d = len(header) // 2
+        if header != _expected_header(d):
+            raise ValidationError(
+                f"{path}: header must be exactly x1..x{d},y1..y{d}"
+            )
+
+        rows: list[list[float]] = []
+        for lineno, record in enumerate(reader, start=2):
+            if not record or all(not cell.strip() for cell in record):
+                continue
+            if len(record) != 2 * d:
+                raise ValidationError(
+                    f"{path}: line {lineno}: expected {2 * d} fields, "
+                    f"got {len(record)}"
+                )
+            values = []
+            for name, cell in zip(header, record):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: line {lineno}: column {name}: "
+                        f"cannot parse {cell.strip()!r} as a number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"{path}: line {lineno}: column {name}: "
+                        "non-finite value"
+                    )
+                values.append(value)
+            rows.append(values)
+
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    data = np.array(rows, dtype=float)
+    return PairedSample(x=data[:, :d], y=data[:, d:])

@@ -42,7 +42,7 @@ from pairedgraph.stats import EdgeCounts
 from pairedgraph.inference import asymptotic_pvalues
 from pairedgraph.core import pool
 
-from oracles import empirical_moments, enumerate_counts, random_cross_edges
+from oracles import census_q3_loop, empirical_moments, enumerate_counts, random_cross_edges
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "demos" / "scenarios"
@@ -128,6 +128,7 @@ def test_c3_census_cross_check(oracle_instances):
         1
         for _, cross in oracle_instances
         if census_q3(cross) != condition_diagnostics(cross).q3
+        or census_q3(cross) != census_q3_loop(cross)
     )
     announce(
         3,

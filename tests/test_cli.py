@@ -340,6 +340,27 @@ def test_non_utf8_file_exits_2_naming_the_line(tmp_path, pairs_csv, reader):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("reader, line", [("input", 3), ("input", 1), ("dist-matrix", 2)])
+def test_stray_quote_in_a_large_file_exits_2_naming_the_line(
+    tmp_path, pairs_csv, reader, line
+):
+    # the unterminated quoted field runs past csv's 128 KiB field size limit
+    bad = tmp_path / "quote.csv"
+    if reader == "input":
+        rows = ["x1,y1", "1,2", "3.25,4.5"] + ["5.25,6.125"] * 20000
+        args = ("test", "--input", str(bad))
+    else:
+        rows = [",".join(["1"] * 300)] * 300
+        args = ("test", "--input", str(pairs_csv), "--metric", "precomputed",
+                "--dist-matrix", str(bad))
+    rows[line - 1] = '"' + rows[line - 1]
+    bad.write_text("\n".join(rows) + "\n")
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert f"line {line}: malformed CSV" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_negative_seed_exits_2(pairs_csv):
     proc = run_cli("test", "--input", str(pairs_csv), "--seed", "-1")
     assert proc.returncode == 2

@@ -46,6 +46,10 @@ def test_paired_csv_reports_line_numbers(tmp_path):
     path.write_text("x1,y1\n1.0,2.0\nnan,3.0\n")
     with pytest.raises(ValidationError, match="line 3.*non-finite"):
         read_paired_csv(path)
+    # the quoted cell spans lines 2-3, so the second record starts on line 4
+    path.write_text('x1,y1\n"1\n",2\n3,abc\n')
+    with pytest.raises(ValidationError, match="line 4: column y1: cannot parse 'abc'"):
+        read_paired_csv(path)
 
 
 def test_distance_csv_round_trip(tmp_path):
@@ -104,6 +108,21 @@ def test_distance_csv_rejects_asymmetry(tmp_path):
     path = tmp_path / "dist.csv"
     path.write_text("0,1\n2,0\n")
     with pytest.raises(ValidationError, match="symmetric"):
+        read_distance_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0,1\n1,abc\n", "line 2: column 2: cannot parse 'abc' as a number"),
+        ("0,inf\ninf,0\n", "line 1: column 2: non-finite value"),
+        ("0,1\n\n1,0,2\n", "line 3: expected 2 fields, got 3"),
+    ],
+)
+def test_distance_csv_names_line_and_column(tmp_path, text, message):
+    path = tmp_path / "dist.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=message):
         read_distance_csv(path)
 
 

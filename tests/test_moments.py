@@ -19,6 +19,7 @@ from pairedgraph.moments import _pair_links, _q_and_s
 
 from oracles import (
     brute_sum_ab,
+    census_q3_loop,
     empirical_moments,
     enumerate_counts,
     mirror_counts,
@@ -257,6 +258,15 @@ def test_census_examples():
     assert census_q3(cross_of(DISJOINT, 2)) == 4
     assert census_q3(cross_of(SHARED, 2)) == 0
     assert census_q3(cross_of([[0, 2]], 2)) == 0
+
+
+@pytest.mark.parametrize(
+    "family",
+    [random_pair_graphs, dense_multigraphs, tie_heavy_kmsts, empty_and_one_pair_graphs],
+)
+def test_census_equals_the_edge_pair_loop(family):
+    for cross in family():
+        assert census_q3(cross) == census_q3_loop(cross)
 
 
 def test_census_equals_q3_on_random_graphs():
