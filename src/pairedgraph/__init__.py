@@ -31,7 +31,6 @@ from .inference import (
     PValueReport,
     asymptotic_pvalues,
     exhaustive_edge_counts,
-    exhaustive_null_moments,
     permutation_pvalues,
     run_oracle_validation,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "condition_diagnostics",
     "distance_matrix",
     "exhaustive_edge_counts",
-    "exhaustive_null_moments",
     "extract_cross_pair_graph",
     "graph_test",
     "hotelling_paired",

@@ -83,8 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_test(args) -> int:
-    if args.k < 1:
-        raise ValidationError(f"--k must be a positive integer, got {args.k}")
     if args.metric == "precomputed" and not args.dist_matrix:
         raise ValidationError("--metric precomputed requires --dist-matrix")
     if args.dist_matrix and args.metric != "precomputed":

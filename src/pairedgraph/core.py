@@ -13,6 +13,9 @@ import numpy as np
 
 __all__ = ["ValidationError", "PairedSample", "pool"]
 
+# 17 significant digits: every float64 written as text reads back to the same bits
+FLOAT_FORMAT = ".17g"
+
 
 class ValidationError(ValueError):
     """Input violates a documented precondition."""

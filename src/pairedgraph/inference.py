@@ -7,15 +7,19 @@ a linear and a quadratic form built once per cross-pair graph
 (``_spin_form``), so a block of B swaps costs one B x n mat-vec and one
 B x n by n x n product. For n at or below the exact threshold all 2^n
 swaps are enumerated in code order; beyond it, swaps are sampled with a
-seeded PCG64 generator and the add-one estimator
-(1 + #{stat >= observed}) / (1 + B) is reported, which can never return 0.
-Both feed the same counter in blocks of ``_CHUNK`` swaps.
+seeded PCG64 generator. Both reach one tally loop as blocks of at most
+``_CHUNK`` swap bit rows, and each p-value is (extra + hits) /
+(total + extra): extra = 0 for enumeration, and extra = 1 for sampling,
+the add-one estimator, which can never return 0. Enumeration past the
+threshold raises ``ExactTooLargeError`` from one guard. The oracle sweep
+enumerates each random instance once and reads the population moments and
+the z_g identity residual from the same counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -40,7 +44,6 @@ __all__ = [
     "asymptotic_pvalues",
     "permutation_pvalues",
     "exhaustive_edge_counts",
-    "exhaustive_null_moments",
     "run_oracle_validation",
 ]
 
@@ -141,13 +144,21 @@ def _spin_counts(spin, bits: np.ndarray):
     return (total + 2 * diff) // 8, (total - 2 * diff) // 8
 
 
+def _require_exact(n: int) -> None:
+    """Refuse to enumerate the 2^n swaps of n pairs past the exact threshold."""
+    if n > DEFAULT_EXACT_THRESHOLD:
+        raise ExactTooLargeError(
+            f"exact enumeration needs 2^{n} assignments; the threshold is "
+            f"n <= {DEFAULT_EXACT_THRESHOLD}"
+        )
+
+
 def _enumerated_flip_chunks(n: int):
     """Every swap's bit row, in code order (bit p of the code is pair p)."""
     total = 1 << n
-    step = min(total, _CHUNK)
     bits = np.arange(n, dtype=np.uint64)
-    for start in range(0, total, step):
-        codes = np.arange(start, min(start + step, total), dtype=np.uint64)
+    for start in range(0, total, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
         yield ((codes[:, None] >> bits) & np.uint64(1)).astype(np.uint8)
 
 
@@ -172,60 +183,43 @@ def permutation_pvalues(
         raise ValidationError(f"unknown permutation mode {mode!r}")
     if mode == "auto":
         mode = "exact" if n <= DEFAULT_EXACT_THRESHOLD else "monte-carlo"
-    if mode == "exact" and n > DEFAULT_EXACT_THRESHOLD:
-        raise ExactTooLargeError(
-            f"exact enumeration needs 2^{n} assignments; the threshold is "
-            f"n <= {DEFAULT_EXACT_THRESHOLD}"
-        )
-    if mode == "monte-carlo" and n_perm < 1:
-        raise ValidationError("monte-carlo needs at least one permutation")
-
-    spin = _spin_form(cross)
-    identity = np.zeros((1, n), dtype=np.uint8)
-
-    def batch_stats(flips):
-        z_m, z_s, z_g = standardize(*_spin_counts(spin, flips), moments)
-        return z_m, None if z_s is None else np.abs(z_s), z_g
-
-    obs_m, obs_s, obs_g = (
-        None if a is None else float(a[0]) for a in batch_stats(identity)
-    )
-
-    hits = np.zeros(3, dtype=np.int64)
-    observed = (obs_m, obs_s, obs_g)
-
-    def tally(flips):
-        for slot, (stat, obs) in enumerate(zip(batch_stats(flips), observed)):
-            if stat is None:
-                continue
-            hits[slot] += np.count_nonzero(stat > obs if strict else stat >= obs)
-
     if mode == "exact":
-        total = 1 << n
-        for flips in _enumerated_flip_chunks(n):
-            tally(flips)
-        denom = total
-        extra = 0
+        _require_exact(n)
+        blocks, total, extra = _enumerated_flip_chunks(n), 1 << n, 0
+    elif n_perm < 1:
+        raise ValidationError("monte-carlo needs at least one permutation")
     else:
         rng = np.random.default_rng(seed)
-        remaining = n_perm
-        while remaining > 0:
-            block = min(remaining, _CHUNK)
-            tally(rng.integers(0, 2, size=(block, n), dtype=np.uint8))
-            remaining -= block
-        denom = n_perm + 1
-        extra = 1
+        blocks = (
+            rng.integers(0, 2, size=(min(_CHUNK, n_perm - start), n), dtype=np.uint8)
+            for start in range(0, n_perm, _CHUNK)
+        )
+        total, extra = n_perm, 1
 
-    def pvalue(slot, obs):
-        if obs is None:
-            return None
-        return (extra + int(hits[slot])) / denom
+    spin = _spin_form(cross)
 
+    def folded(bits):  # (z_m, |z_s|, z_g) per swap row; None where degenerate
+        z_m, z_s, z_g = standardize(*_spin_counts(spin, bits), moments)
+        return z_m, None if z_s is None else np.abs(z_s), z_g
+
+    observed = [
+        None if z is None else float(z[0])
+        for z in folded(np.zeros((1, n), dtype=np.uint8))
+    ]
+    hits = [0, 0, 0]
+    for bits in blocks:
+        for slot, (stat, obs) in enumerate(zip(folded(bits), observed)):
+            if obs is not None:
+                hits[slot] += int(np.count_nonzero(stat > obs if strict else stat >= obs))
+    p_m, p_s, p_g = (
+        None if obs is None else (extra + hit) / (total + extra)
+        for obs, hit in zip(observed, hits)
+    )
     return PValueReport(
-        p_m_perm=pvalue(0, obs_m),
-        p_s_perm=pvalue(1, obs_s),
-        p_g_perm=pvalue(2, obs_g),
-        n_permutations=(1 << n) if mode == "exact" else n_perm,
+        p_m_perm=p_m,
+        p_s_perm=p_s,
+        p_g_perm=p_g,
+        n_permutations=total,
         mode=mode,
         seed=seed,
         rng_algorithm=RNG_ALGORITHM if mode == "monte-carlo" else None,
@@ -234,34 +228,12 @@ def permutation_pvalues(
 
 def exhaustive_edge_counts(cross: CrossPairGraph):
     """(r1, r2) for every one of the 2^n swaps, in code order."""
-    n = cross.n_pairs
-    if n > DEFAULT_EXACT_THRESHOLD:
-        raise ExactTooLargeError(
-            f"exhaustive enumeration limited to n <= {DEFAULT_EXACT_THRESHOLD}, "
-            f"got {n}"
-        )
+    _require_exact(cross.n_pairs)
     spin = _spin_form(cross)
-    parts = [_spin_counts(spin, flips) for flips in _enumerated_flip_chunks(n)]
-    r1 = np.concatenate([p[0] for p in parts])
-    r2 = np.concatenate([p[1] for p in parts])
-    return r1, r2
-
-
-def exhaustive_null_moments(cross: CrossPairGraph) -> NullMoments:
-    """Empirical moments over the full swap set (population normalization)."""
-    r1, r2 = exhaustive_edge_counts(cross)
-    r1 = r1.astype(float)
-    r2 = r2.astype(float)
-    e1 = r1.mean()
-    var1 = float(np.mean((r1 - e1) ** 2))
-    cov = float(np.mean((r1 - e1) * (r2 - r2.mean())))
-    return NullMoments(
-        e_r1=float(e1),
-        var_r1=var1,
-        cov_r12=cov,
-        var_sum=float(np.var(r1 + r2)),
-        var_diff=float(np.var(r1 - r2)),
+    r1, r2 = zip(
+        *(_spin_counts(spin, bits) for bits in _enumerated_flip_chunks(cross.n_pairs))
     )
+    return np.concatenate(r1), np.concatenate(r2)
 
 
 @dataclass(frozen=True)
@@ -313,11 +285,7 @@ def run_oracle_validation(
         raise ValidationError("instance count must be positive")
     if not 1 <= min_pairs <= max_pairs:
         raise ValidationError("need 1 <= min_pairs <= max_pairs")
-    if max_pairs > DEFAULT_EXACT_THRESHOLD:
-        raise ExactTooLargeError(
-            f"max_pairs={max_pairs} exceeds the exact threshold "
-            f"{DEFAULT_EXACT_THRESHOLD}"
-        )
+    _require_exact(max_pairs)
     rng = np.random.default_rng(seed)
     max_moment_error = 0.0
     max_residual = 0.0
@@ -342,16 +310,24 @@ def run_oracle_validation(
             graph = SimilarityGraph(_random_cross_pair_edges(rng, n), 2 * n)
         cross = extract_cross_pair_graph(graph)
 
+        # one enumeration gives the population moments and the z_g residual
+        r1, r2 = exhaustive_edge_counts(cross)
+        f1, f2 = r1.astype(float), r2.astype(float)
+        population = (  # in NullMoments field order
+            f1.mean(),
+            f1.var(),
+            np.mean((f1 - f1.mean()) * (f2 - f2.mean())),
+            np.var(f1 + f2),
+            np.var(f1 - f2),
+        )
         analytic = null_moments(cross)
-        empirical = exhaustive_null_moments(cross)
-        for field in ("e_r1", "var_r1", "cov_r12", "var_sum", "var_diff"):
-            err = abs(getattr(analytic, field) - getattr(empirical, field))
-            max_moment_error = max(max_moment_error, err)
+        for value, empirical in zip(astuple(analytic), population):
+            max_moment_error = max(max_moment_error, abs(value - float(empirical)))
 
         if _q_and_s(cross)[0] != census_q3(cross):
             census_mismatches += 1
 
-        z_m, z_s, z_g = standardize(*exhaustive_edge_counts(cross), analytic)
+        z_m, z_s, z_g = standardize(r1, r2, analytic)
         if z_m is not None and z_s is not None and z_g is not None:
             residual = float(np.max(np.abs(z_g - z_m**2 - z_s**2)))
             max_residual = max(max_residual, residual)

@@ -5,27 +5,33 @@ and one row per pair, which keeps the pairing explicit. Floats are written
 with 17 significant digits, so a write/read round trip is exact. Distance
 matrices are plain N x N numeric CSVs and must be exactly symmetric. Cells
 must parse as finite floats; errors name the file line where the record starts.
+Every input file, scenario files included, counts lines as ``csv`` does:
+CRLF, a lone CR and a lone LF each end one (``_lines``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
-from .core import PairedSample, ValidationError
+from .core import FLOAT_FORMAT, PairedSample, ValidationError
 from .graph import DistanceMatrix, precomputed_distance
 
 __all__ = ["read_paired_csv", "write_paired_csv", "read_distance_csv"]
 
-FLOAT_FORMAT = ".17g"
-
 
 def _expected_header(d: int) -> list[str]:
     return [f"x{j}" for j in range(1, d + 1)] + [f"y{j}" for j in range(1, d + 1)]
+
+
+def _lines(text: str) -> list[str]:
+    """Split where ``csv`` ends a line: at each CRLF, lone CR or lone LF."""
+    return re.split(r"\r\n|\r|\n", text)
 
 
 def _read_text(path: Path) -> str:
@@ -33,7 +39,7 @@ def _read_text(path: Path) -> str:
     try:
         return path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object is the data after any BOM
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        line = len(_lines(exc.object[: exc.start].decode("utf-8")))
         raise ValidationError(f"{path}: line {line}: not valid UTF-8 text") from None
 
 

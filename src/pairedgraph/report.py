@@ -14,15 +14,13 @@ import numpy as np
 
 from ._version import __version__
 from .baselines import HotellingReport, hotelling_paired
-from .core import PairedSample, ValidationError, pool
+from .core import FLOAT_FORMAT, PairedSample, ValidationError, pool
 from .graph import DistanceMatrix, distance_matrix
 from .inference import PValueReport, asymptotic_pvalues, permutation_pvalues
 from .moments import ConditionDiagnostics, NullMoments, census_q3, condition_diagnostics
 from .stats import EdgeCounts, StatisticTriple, graph_test
 
 __all__ = ["TestReport", "run_paired_test", "report_json", "report_csv"]
-
-FLOAT_FORMAT = ".17g"
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import SingularCovarianceError, hotelling_paired
-from .core import PairedSample, ValidationError, pool
+from .core import FLOAT_FORMAT, PairedSample, ValidationError, pool
 from .graph import distance_matrix
 from .inference import asymptotic_pvalues
-from .io import _read_text
+from .io import _lines, _read_text
 from .stats import graph_test
 
 __all__ = [
@@ -230,26 +230,19 @@ def _run_study(
             ) from None
         *_, triple = graph_test(dist, k)
         pvals = asymptotic_pvalues(triple)
-        for test, p in (
-            ("z_m", pvals.p_m_asym),
-            ("z_s", pvals.p_s_asym),
-            ("z_g", pvals.p_g_asym),
-        ):
+        found = dict(zip(GRAPH_TESTS, (pvals.p_m_asym, pvals.p_s_asym, pvals.p_g_asym)))
+        if with_hotelling:
+            try:
+                found["ht"] = hotelling_paired(sample).p
+            except SingularCovarianceError:
+                found["ht"] = None
+        for test, p in found.items():  # None: undefined for this replicate
             if p is None:
                 degenerate[test] += 1
                 continue
             valid[test] += 1
             for a in levels:
                 rejections[test][a] += p <= a
-        if with_hotelling:
-            try:
-                p = hotelling_paired(sample).p
-            except SingularCovarianceError:
-                degenerate["ht"] += 1
-            else:
-                valid["ht"] += 1
-                for a in levels:
-                    rejections["ht"][a] += p <= a
 
     return StudyResult(
         scenario=scenario,
@@ -350,7 +343,7 @@ class Scenario:
 def load_scenario(path) -> Scenario:
     """Parse a flat ``key = value`` scenario file."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(_read_text(Path(path)).splitlines(), start=1):
+    for lineno, line in enumerate(_lines(_read_text(Path(path))), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -426,12 +419,12 @@ def results_to_csv(results) -> str:
                             res.scenario,
                             res.mode,
                             test,
-                            format(level, ".17g"),
+                            format(level, FLOAT_FORMAT),
                             str(res.rejections[test][level]),
                             str(res.valid[test]),
                             str(res.replicates),
                             str(res.degenerate[test]),
-                            format(prop, ".17g"),
+                            format(prop, FLOAT_FORMAT),
                             str(res.seed),
                         ]
                     )

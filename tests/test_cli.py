@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial.distance import squareform
 
 from pairedgraph import PairedSample, write_paired_csv
+from pairedgraph.cli import main
 
 from oracles import exact_pvalues
 
@@ -380,3 +381,36 @@ def test_oracle_command_validation():
     assert "threshold" in too_big.stderr
     zero = run_cli("oracle", "--instances", "0")
     assert zero.returncode == 2
+
+
+def test_k_zero_exits_2_with_the_graph_message(pairs_csv, capsys):
+    assert main(["test", "--input", str(pairs_csv), "--k", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "k must be a positive integer" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"x1,y1\r1,2\r\xff,3\r", "line 3: not valid UTF-8 text"),
+        (b"x1,y1\r1,2\r4,abc\r", "line 3: column y1: cannot parse 'abc'"),
+    ],
+)
+def test_cr_only_csv_counts_lines_one_way(tmp_path, capsys, data, message):
+    # a bad byte and a bad cell in the same place name the same line
+    path = tmp_path / "cr.csv"
+    path.write_bytes(data)
+    assert main(["test", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_scenario_counts_lines_as_the_csv_readers_do(tmp_path, capsys):
+    # U+0085 ends a line for str.splitlines but not for csv
+    path = tmp_path / "nel.cfg"
+    path.write_text(
+        "scenario = s\x85mode = size\nfamily = normal\nn = 10\nd = 2\nbogus = 1\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", str(path)]) == 2
+    assert "line 5: invalid scenario key 'bogus'" in capsys.readouterr().err

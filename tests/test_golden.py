@@ -18,8 +18,11 @@ from pairedgraph import (
     report_json,
     results_to_csv,
     run_paired_test,
+    run_power_study,
     run_scenario,
+    scalar_block_spec,
 )
+from pairedgraph.cli import main
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -104,6 +107,19 @@ GOLDEN = {
         ),
         "1d0d747632cace4dca67fab441d866b138dd4e2ecebc1782e0f16e08653abb52",
     ),
+    "power_with_hotelling_csv": (
+        lambda: results_to_csv(
+            [
+                run_power_study(
+                    scalar_block_spec("normal", 30, 5, mean_diff_norm=1.0),
+                    replicates=20,
+                    seed=7,
+                    scenario="golden-power",
+                )
+            ]
+        ),
+        "3bbc11806a6e9b195f79ab8250d231cdf95219dce4e488d7ecfc43f07c1ddf1f",
+    ),
 }
 
 
@@ -111,3 +127,20 @@ GOLDEN = {
 def test_golden_bytes(case):
     render, want = GOLDEN[case]
     assert sha256(render()) == want
+
+
+# the two sweeps CI runs, comparing the closed-form moments with enumeration
+ORACLE_SWEEPS = {
+    "oracle --instances 200": (
+        "e2d99360b136d5355d0b669acb5295650713acaacac6ae2c0189486925075d61"
+    ),
+    "oracle --instances 40 --min-pairs 11 --max-pairs 14 --seed 1": (
+        "63d3c8a54623923d8c3b67e127ee5d5aefa0f08184d8d1bc1eadc1cb8c243e2e"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_SWEEPS))
+def test_oracle_sweep_bytes(command, capsys):
+    assert main(command.split()) == 0
+    assert sha256(capsys.readouterr().out) == ORACLE_SWEEPS[command]

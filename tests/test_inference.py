@@ -183,9 +183,10 @@ def test_exact_mode_threshold():
     n = 25
     edges = random_cross_edges(rng, n, prob=0.1)
     cross, moments = setup_instance(edges, n)
-    with pytest.raises(ExactTooLargeError):
+    message = r"exact enumeration needs 2\^25 assignments; the threshold is n <= 20"
+    with pytest.raises(ExactTooLargeError, match=message):
         permutation_pvalues(cross, moments, mode="exact")
-    with pytest.raises(ExactTooLargeError):
+    with pytest.raises(ExactTooLargeError, match=message):
         exhaustive_edge_counts(cross)
 
 
@@ -285,7 +286,8 @@ def test_oracle_validation_small_run():
 def test_oracle_validation_argument_errors():
     with pytest.raises(ValidationError):
         run_oracle_validation(0)
-    with pytest.raises(ExactTooLargeError):
+    message = r"exact enumeration needs 2\^25 assignments; the threshold is n <= 20"
+    with pytest.raises(ExactTooLargeError, match=message):
         run_oracle_validation(10, max_pairs=25)
 
 
