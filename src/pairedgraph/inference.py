@@ -51,6 +51,7 @@ DEFAULT_EXACT_THRESHOLD = 20
 RNG_ALGORITHM = "PCG64"
 _CHUNK = 1 << 14
 _ORACLE_MAX_K = 3  # largest k-MST multiplicity the oracle sweep draws
+ORACLE_MAX_DIM = 1000  # largest max_dim: each instance draws 2n x d normals
 _ORACLE_TOLERANCE = 1e-9
 
 
@@ -285,6 +286,10 @@ def run_oracle_validation(
         raise ValidationError("instance count must be positive")
     if not 1 <= min_pairs <= max_pairs:
         raise ValidationError("need 1 <= min_pairs <= max_pairs")
+    if not 1 <= max_dim <= ORACLE_MAX_DIM:
+        raise ValidationError(f"need 1 <= max_dim <= {ORACLE_MAX_DIM}, got {max_dim}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     _require_exact(max_pairs)
     rng = np.random.default_rng(seed)
     max_moment_error = 0.0

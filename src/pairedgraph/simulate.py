@@ -1,12 +1,14 @@
 """Data generators and the Monte Carlo size/power harness.
 
 A scenario draws n pairs (X_i, Y_i) whose stacked 2d-vector follows a
-multivariate normal, a multivariate t with 3 degrees of freedom, or a
-multivariate log-normal law, parameterized by the stacked mean (nu1, nu2)
-and the block covariance [[gamma1, gamma12], [gamma12, gamma2]]. The t3
-sampler is scaled so its *variance* (not its scale matrix) equals the block
-covariance. Replicate r uses the independent stream default_rng([seed, r]),
-so results do not depend on evaluation order.
+multivariate normal, t3 or log-normal law with stacked mean (nu1, nu2) and
+covariance (block scales) ⊗ I_d, the block scales being the 2 x 2 matrix
+[[gamma1, gamma12], [gamma12, gamma2]]. The covariance has its eigenvalues,
+so the PSD check and the factor are 2 x 2 ones, and a draw combines the two
+halves of one n x 2d standard normal matrix by that factor. The t3 sampler
+is scaled so its *variance* (not its scale matrix) equals the covariance.
+Replicate r uses the independent stream default_rng([seed, r]), so results
+do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -38,18 +40,27 @@ __all__ = [
 
 _FAMILIES = ("normal", "t3", "lognormal")
 GRAPH_TESTS = ("z_m", "z_s", "z_g")
+MAX_DRAW_FLOATS = 1 << 27  # floats in one replicate's n x 2d draw (1 GiB), checked first
+
+
+def _check_draw_size(n: int, d: int) -> None:
+    if n < 1 or d < 1 or 2 * n * d > MAX_DRAW_FLOATS:
+        raise ValidationError(
+            "need n >= 1 pairs, d >= 1 dimensions and a draw of 2nd <= "
+            f"{MAX_DRAW_FLOATS} floats (MAX_DRAW_FLOATS); got n={n}, d={d}"
+        )
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Distribution family plus stacked mean and block covariance."""
+    """Family, stacked mean and block scales; a c * I_d array block is read as c."""
 
     family: str
     nu1: np.ndarray
     nu2: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    gamma12: np.ndarray
+    gamma1: float
+    gamma2: float
+    gamma12: float
     n: int
     d: int
 
@@ -58,8 +69,7 @@ class GeneratorSpec:
             raise ValidationError(
                 f"unknown family {self.family!r}; expected one of {_FAMILIES}"
             )
-        if self.n < 1 or self.d < 1:
-            raise ValidationError("need n >= 1 pairs and d >= 1 dimensions")
+        _check_draw_size(self.n, self.d)
         d = self.d
         for name in ("nu1", "nu2"):
             vec = np.asarray(getattr(self, name), dtype=float).ravel()
@@ -67,35 +77,24 @@ class GeneratorSpec:
                 raise ValidationError(f"{name} must have length d={d}")
             object.__setattr__(self, name, vec)
         for name in ("gamma1", "gamma2", "gamma12"):
-            mat = np.asarray(getattr(self, name), dtype=float)
-            if mat.shape != (d, d):
-                raise ValidationError(f"{name} must be a {d}x{d} matrix")
-            object.__setattr__(self, name, mat)
-        # The stacked covariance must be symmetric PSD; symmetry of the whole
-        # block matrix forces gamma12 itself to be symmetric.
-        full = self.stacked_cov()
-        if not np.allclose(full, full.T, rtol=0.0, atol=1e-12):
-            raise ValidationError("block covariance is not symmetric")
-
-    def stacked_cov(self) -> np.ndarray:
-        top = np.hstack([self.gamma1, self.gamma12])
-        bottom = np.hstack([self.gamma12, self.gamma2])
-        return np.vstack([top, bottom])
-
-    def stacked_mean(self) -> np.ndarray:
-        return np.concatenate([self.nu1, self.nu2])
+            scale = np.asarray(getattr(self, name), dtype=float)
+            if scale.shape == (d, d):
+                diag = scale.diagonal()
+                off = np.count_nonzero(scale) - np.count_nonzero(diag)
+                if off == 0 and (diag == diag[0]).all():
+                    scale = diag[0]
+            if scale.ndim or not math.isfinite(scale):
+                raise ValidationError(f"{name} must be a finite scalar or c * I_{d}")
+            object.__setattr__(self, name, float(scale))
 
 
 def _cov_factor(spec: GeneratorSpec) -> np.ndarray:
-    """A factor L with L L' equal to the stacked covariance; PSD validated."""
-    full = spec.stacked_cov()
-    # halve before adding: an out-of-range cross block must reach the PSD
-    # check below, not overflow the sum
-    sym = full / 2.0 + full.T / 2.0
+    """A 2 x 2 factor L with L L' equal to the block scales; PSD validated."""
+    sigma = np.array([[spec.gamma1, spec.gamma12], [spec.gamma12, spec.gamma2]])
     try:
-        return np.linalg.cholesky(sym)
+        return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = np.linalg.eigh(sigma)
         floor = -1e-10 * max(1.0, float(vals[-1]))
         if vals[0] < floor:
             raise ValidationError(
@@ -115,34 +114,32 @@ def scalar_block_spec(
     var2: float = 1.0,
     rho12: float = 0.6,
 ) -> GeneratorSpec:
-    """Scenario with scalar-times-identity blocks.
+    """Scenario from scalar block scales.
 
     The mean difference is spread uniformly over coordinates: nu1 - nu2 =
     delta * ones with delta = mean_diff_norm / sqrt(d), so the Euclidean norm
     of the shift equals the requested target. gamma12 = rho12 *
-    sqrt(var1) * sqrt(var2) * I keeps the per-coordinate cross correlation at
+    sqrt(var1) * sqrt(var2) keeps the per-coordinate cross correlation at
     rho12 for any variance scaling. Variances above half the largest float
-    are rejected, so the stacked covariance stays clear of overflow.
+    are rejected, so the block covariance stays clear of overflow.
     """
-    if d < 1:
-        raise ValidationError(f"need d >= 1 dimensions, got {d}")
+    _check_draw_size(n, d)
     limit = sys.float_info.max / 2
     if not (0 <= var1 <= limit and 0 <= var2 <= limit):
         raise ValidationError(
             f"var1 and var2 must be non-negative and at most {limit:.4g}, "
-            "or the stacked covariance overflows"
+            "or the block covariance overflows"
         )
     if not (math.isfinite(mean_diff_norm) and math.isfinite(rho12)):
         raise ValidationError("mean_diff_norm and rho12 must be finite")
-    eye = np.eye(d)
     delta = mean_diff_norm / math.sqrt(d)
     return GeneratorSpec(
         family=family,
         nu1=np.full(d, delta),
         nu2=np.zeros(d),
-        gamma1=var1 * eye,
-        gamma2=var2 * eye,
-        gamma12=rho12 * math.sqrt(var1) * math.sqrt(var2) * eye,
+        gamma1=var1,
+        gamma2=var2,
+        gamma12=rho12 * math.sqrt(var1) * math.sqrt(var2),
         n=n,
         d=d,
     )
@@ -154,12 +151,13 @@ def _generate(
     """Draw one paired sample from ``rng``; ``factor`` comes from _cov_factor."""
     n, d = spec.n, spec.d
     z = rng.standard_normal((n, 2 * d))
-    rows = z @ factor.T
+    (a, b), (c, e) = factor  # x = a z1 + b z2 and y = c z1 + e z2, coordinatewise
+    rows = np.hstack([a * z[:, :d] + b * z[:, d:], c * z[:, :d] + e * z[:, d:]])
     if spec.family == "t3":
         # variance-targeted t3: nu + L z / sqrt(w), w ~ chi2(3), E(1/w) = 1
         w = rng.chisquare(3, size=n)
         rows /= np.sqrt(w)[:, None]
-    rows += spec.stacked_mean()
+    rows += np.concatenate([spec.nu1, spec.nu2])
     if spec.family == "lognormal":
         top = rows.max()
         if top > np.log(sys.float_info.max):
@@ -224,9 +222,9 @@ def _run_study(
         try:
             dist = distance_matrix(pool(sample))
         except ValidationError as exc:
-            var1, var2 = spec.gamma1.diagonal().max(), spec.gamma2.diagonal().max()
             raise ValidationError(
-                f"scenario {scenario!r} (var1={var1:.4g}, var2={var2:.4g}): {exc}"
+                f"scenario {scenario!r} (var1={spec.gamma1:.4g}, "
+                f"var2={spec.gamma2:.4g}): {exc}"
             ) from None
         *_, triple = graph_test(dist, k)
         pvals = asymptotic_pvalues(triple)
@@ -266,10 +264,7 @@ def run_size_study(
     scenario: str = "size",
 ) -> StudyResult:
     """Empirical size: rejection rates of asymptotic p-values under the null."""
-    if not (
-        np.array_equal(spec.nu1, spec.nu2)
-        and np.array_equal(spec.gamma1, spec.gamma2)
-    ):
+    if not (np.array_equal(spec.nu1, spec.nu2) and spec.gamma1 == spec.gamma2):
         raise ValidationError(
             "size study needs a null scenario: nu1 == nu2 and gamma1 == gamma2"
         )

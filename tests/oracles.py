@@ -6,8 +6,9 @@ Prufer-sequence enumeration of spanning trees, Kruskal passes for the k-MST,
 the k-MST's earlier edge ranking (one key sort over every edge),
 exact rational arithmetic for permutation p-values, a per-edge label gather
 for swap counts, edge-pair key matching for the variance count q, the
-pair-of-pairs census of q3 as a loop over edge pairs, and the paired-CSV
-reader's earlier cell-by-cell record loop.
+pair-of-pairs census of q3 as a loop over edge pairs, the paired-CSV
+reader's earlier cell-by-cell record loop, and the generator's earlier draw
+through the dense 2d x 2d stacked covariance.
 """
 
 import csv
@@ -386,3 +387,27 @@ def read_paired_csv_by_cell(path) -> PairedSample:
         raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
     data = np.array(rows, dtype=float)
     return PairedSample(x=data[:, :d], y=data[:, d:])
+
+
+def dense_generate(spec, rng) -> PairedSample:
+    """One replicate drawn as the generator once drew it: the stacked covariance
+    assembled as a dense 2d x 2d matrix from the block scales times I_d,
+    symmetrised, factored (Cholesky, or eigh when singular) and applied to
+    the n x 2d standard normal draw by one matrix product."""
+    n, d = spec.n, spec.d
+    eye = np.eye(d)
+    full = np.block([[spec.gamma1 * eye, spec.gamma12 * eye],
+                     [spec.gamma12 * eye, spec.gamma2 * eye]])
+    sym = full / 2.0 + full.T / 2.0
+    try:
+        factor = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(sym)
+        factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    rows = rng.standard_normal((n, 2 * d)) @ factor.T
+    if spec.family == "t3":
+        rows /= np.sqrt(rng.chisquare(3, size=n))[:, None]
+    rows += np.concatenate([spec.nu1, spec.nu2])
+    if spec.family == "lognormal":
+        rows = np.exp(rows)
+    return PairedSample(x=rows[:, :d], y=rows[:, d:])

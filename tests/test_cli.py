@@ -383,6 +383,22 @@ def test_oracle_command_validation():
     assert zero.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--max-dim", "0"), "need 1 <= max_dim <= 1000, got 0"),
+        (("--max-dim", "1001"), "need 1 <= max_dim <= 1000, got 1001"),
+        (("--seed", "-1"), "seed must be non-negative, got -1"),
+    ],
+)
+def test_oracle_flag_guards_exit_2(flags, message):
+    # --max-dim 0 and --seed -1 used to end in numpy tracebacks with exit 1
+    proc = run_cli("oracle", "--instances", "2", *flags)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_k_zero_exits_2_with_the_graph_message(pairs_csv, capsys):
     assert main(["test", "--input", str(pairs_csv), "--k", "0"]) == 2
     err = capsys.readouterr().err

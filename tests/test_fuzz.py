@@ -1,16 +1,18 @@
-"""Fuzzing of the three input files, through the readers and through ``cli.main``.
+"""Fuzzing of the three input files, through the readers and through ``cli.main``,
+and of the command lines of ``test``, ``simulate`` and ``oracle``.
 
-Every input stays tiny (at most 20 pairs, at most 2 replicates), so each
-example runs in milliseconds.
+Every input stays tiny (at most 22 pairs, at most 2 replicates, at most 3
+oracle instances), so each example runs in milliseconds.
 """
 
 import csv
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from pairedgraph import ValidationError, load_scenario, read_paired_csv
@@ -160,3 +162,122 @@ def test_fuzzed_scenario_exits_0_2_or_3(workdir, data):
         spec = scenario.spec
         assume(spec.n <= 20 and spec.d <= 20 and scenario.replicates <= 2)
     assert run_main("simulate", str(path)) in (0, 2, 3)
+
+
+# --- flags ------------------------------------------------------------------
+
+INT_JUNK = st.sampled_from(["abc", "1.5", "", "1e3"])  # argparse refuses these
+
+
+def int_flag(valid, refused):
+    """(valid values, spoilt values): the spoilt ones are zero, negative or huge
+    values that a guard refuses before anything is allocated, or no integer."""
+    return valid, st.one_of(refused, INT_JUNK)
+
+
+# flag or scenario key: (valid values, spoilt values)
+SEED = int_flag(st.integers(0, 2**64), st.integers(-(2**63), -1))
+TEST_FLAGS = {
+    "--k": int_flag(st.integers(1, 3), st.sampled_from([0, -1, 10**9])),
+    "--n-perm": int_flag(st.integers(1, 30), st.sampled_from([0, -5])),
+    "--seed": SEED,
+    "--pvalue": (st.sampled_from(["asymptotic", "permutation", "both"]), st.just("exact")),
+    "--test": (st.sampled_from(["m", "s", "g", "all"]), st.just("z")),
+    "--metric": (st.sampled_from(["euclidean", "manhattan"]), st.just("precomputed")),
+    "--output": (st.sampled_from(["json", "csv"]), st.just("xml")),
+}
+SCENARIO_KEYS = {
+    "mode": (st.sampled_from(["size", "power"]), st.just("both")),
+    "family": (st.sampled_from(["normal", "t3", "lognormal"]), st.just("cauchy")),
+    "n": int_flag(st.integers(2, 10), st.sampled_from([0, -1, 10**12])),
+    "d": int_flag(st.integers(1, 3), st.sampled_from([0, -1, 10**12])),
+    "k": int_flag(st.integers(1, 3), st.sampled_from([0, -1, 10**9])),
+    "replicates": int_flag(st.integers(1, 2), st.sampled_from([0, -1])),
+    "seed": SEED,
+}
+ORACLE_FLAGS = {
+    "--instances": int_flag(st.integers(1, 3), st.sampled_from([0, -1])),
+    "--min-pairs": int_flag(st.integers(1, 4), st.sampled_from([0, -1, 10**9])),
+    "--max-pairs": int_flag(st.integers(1, 8), st.sampled_from([0, -1, 10**9])),
+    "--max-dim": int_flag(st.integers(1, 4), st.sampled_from([0, -1, 10**9])),
+    "--seed": SEED,
+}
+
+
+@st.composite
+def flag_values(draw, flags, required):
+    """{flag: value} for the ``required`` flags and a few more, at most two spoilt."""
+    chosen = sorted(set(required) | draw(st.sets(st.sampled_from(sorted(flags)))))
+    spoilt = draw(st.sets(st.sampled_from(chosen), max_size=2)) if chosen else ()
+    return {flag: str(draw(flags[flag][flag in spoilt])) for flag in chosen}
+
+
+@st.composite
+def command_line(draw):
+    """(argv, scenario text); upper-case words are paths the test fills in.
+
+    Sizes stay tiny unless a guard refuses them: --instances, k and replicates
+    are always given, since their defaults are 200, 5 and 1000.
+    """
+    command = draw(st.sampled_from(["test", "simulate", "oracle"]))
+    if command == "test":
+        inputs = ["PAIRS5", "PAIRS22"] * 3 + ["MISSING"]
+        argv = ["test", "--input", draw(st.sampled_from(inputs))]
+        for flag, value in draw(flag_values(TEST_FLAGS, ())).items():
+            argv += [flag, value]
+        switches = st.sets(st.sampled_from(["--exact", "--strict", "--baseline-ht"]))
+        argv += sorted(draw(switches))
+        return argv + draw(st.sampled_from([[]] * 3 + [["--dist-matrix", "DIST"]])), None
+    if command == "simulate":
+        required = ("mode", "family", "n", "d", "k", "replicates")
+        values = draw(flag_values(SCENARIO_KEYS, required))
+        text = "scenario = argv\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        argv = ["simulate", draw(st.sampled_from(["SCENARIO"] * 6 + ["MISSING"]))]
+        return argv + draw(st.sampled_from([[], ["--output", "OUT"]])), text
+    argv = ["oracle"]
+    for flag, value in draw(flag_values(ORACLE_FLAGS, ("--instances",))).items():
+        argv += [flag, value]
+    return argv, None
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory, five_pairs):
+    root = tmp_path_factory.mktemp("argv")
+    rng = np.random.default_rng(8)
+    pairs22 = root / "pairs22.csv"
+    rows = ["x1,x2,y1,y2"] + [",".join(map(repr, row)) for row in
+                              rng.standard_normal((22, 4)).tolist()]
+    pairs22.write_text("\n".join(rows) + "\n")
+    points = np.loadtxt(five_pairs, delimiter=",", skiprows=1).T.ravel()
+    dist = root / "dist.csv"
+    np.savetxt(dist, np.abs(points[:, None] - points[None, :]), delimiter=",")
+    return {"PAIRS5": str(five_pairs), "PAIRS22": str(pairs22), "DIST": str(dist),
+            "SCENARIO": str(root / "scenario.cfg"), "OUT": str(root / "out.csv"),
+            "MISSING": str(root / "missing")}
+
+
+def run_argv(argv):
+    """(exit code, stdout) of ``pairedgraph *argv``; argparse's own exit 2
+    counts as a code, any other exception fails the test."""
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=command_line())
+def test_fuzzed_argv_exits_0_2_or_3(argv_files, line):
+    argv, scenario = line
+    if scenario is not None:
+        Path(argv_files["SCENARIO"]).write_text(scenario)
+    argv = [argv_files.get(word, word) for word in argv]
+    code, out = run_argv(argv)
+    event(f"{argv[0]} exit {code}")
+    if code == 1:  # the oracle's FAIL verdict, and nothing else
+        assert argv[0] == "oracle" and "result: FAIL" in out
+    else:
+        assert code in (0, 2, 3)

@@ -1,5 +1,7 @@
 import math
 import sys
+from contextlib import redirect_stderr
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -17,12 +19,23 @@ from pairedgraph import (
     run_size_study,
     scalar_block_spec,
 )
+from pairedgraph import simulate
+from pairedgraph.cli import main
 from pairedgraph.simulate import _cov_factor, _generate
+
+from oracles import dense_generate
 
 
 def draw_sample(spec, seed):
     """One paired sample drawn from default_rng(seed), as a study replicate is."""
     return _generate(spec, np.random.default_rng(seed), _cov_factor(spec))
+
+
+def spec_with(d=2, n=5, **blocks):
+    """A normal GeneratorSpec with zero means and the given block scales."""
+    scales = {"gamma1": 1.0, "gamma2": 2.0, "gamma12": 0.5, **blocks}
+    return GeneratorSpec(family="normal", nu1=np.zeros(d), nu2=np.zeros(d), n=n, d=d,
+                         **scales)
 
 
 def test_spec_validates_shapes_and_psd():
@@ -42,6 +55,79 @@ def test_spec_validates_shapes_and_psd():
             n=5,
             d=2,
         )
+
+    # a c * I_d block is read as the scalar c: same spec, same draw
+    eye = np.eye(3)
+    arrays = spec_with(d=3, gamma1=eye, gamma2=2.0 * eye, gamma12=0.5 * eye)
+    scalars = spec_with(d=3)
+    assert (arrays.gamma1, arrays.gamma2, arrays.gamma12) == (1.0, 2.0, 0.5)
+    assert all(type(g) is float for g in (arrays.gamma1, arrays.gamma2, arrays.gamma12))
+    a, b = draw_sample(arrays, seed=3), draw_sample(scalars, seed=3)
+    assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+    assert spec_with(d=2, gamma12=np.zeros((2, 2))).gamma12 == 0.0
+
+    # anything but a scalar or c * I_d is refused
+    for name, block in [
+        ("gamma1", np.diag([1.0, 2.0])),
+        ("gamma12", np.array([[0.5, 0.1], [0.1, 0.5]])),
+        ("gamma2", np.eye(3)),
+        ("gamma12", np.full(2, 0.5)),
+        ("gamma1", math.nan),
+        ("gamma2", math.inf),
+    ]:
+        with pytest.raises(ValidationError, match=name):
+            spec_with(d=2, **{name: block})
+
+    # singular block covariance (|rho| = 1, or a zero variance): the eigh
+    # factor still gives finite draws with covariance S kron I_d
+    for var2, rho12 in ((1.0, 1.0), (1.0, -1.0), (0.0, 0.6)):
+        spec = scalar_block_spec("normal", 40_000, 2, var2=var2, rho12=rho12)
+        sample = draw_sample(spec, seed=8)
+        assert np.isfinite(sample.x).all() and np.isfinite(sample.y).all()
+        cross = rho12 * math.sqrt(var2)
+        target = np.kron([[1.0, cross], [cross, var2]], np.eye(2))
+        cov = np.cov(np.hstack([sample.x, sample.y]), rowvar=False)
+        assert np.allclose(cov, target, atol=0.03)
+
+
+@pytest.mark.parametrize("family", ["normal", "t3", "lognormal"])
+@pytest.mark.parametrize("var1, var2, rho12", [(1.0, 1.0, 0.6), (2.5, 0.3, -0.8)])
+def test_generate_matches_the_dense_draw(family, var1, var2, rho12):
+    # the same numbers up to rounding: the dense product may fuse a multiply
+    # and an add, and sums the two terms of y in its own order; atol covers
+    # y near zero, where those terms cancel
+    spec = scalar_block_spec(family, 30, 7, mean_diff_norm=0.8, var1=var1, var2=var2,
+                             rho12=rho12)
+    for seed in range(3):
+        got = draw_sample(spec, seed)
+        want = dense_generate(spec, np.random.default_rng(seed))
+        np.testing.assert_allclose(got.x, want.x, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(got.y, want.y, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("family", ["normal", "t3", "lognormal"])
+def test_study_tallies_match_the_dense_draw(monkeypatch, family):
+    spec = scalar_block_spec(family, 12, 3, mean_diff_norm=0.7, var2=1.5)
+    elementwise = run_power_study(spec, replicates=6, k=3, seed=5)
+    monkeypatch.setattr(simulate, "_generate",
+                        lambda spec, rng, factor: dense_generate(spec, rng))
+    assert run_power_study(spec, replicates=6, k=3, seed=5) == elementwise
+
+
+def test_oversized_draw_is_refused_before_allocating(monkeypatch, tmp_path):
+    monkeypatch.setattr(simulate, "MAX_DRAW_FLOATS", 20)
+    scalar_block_spec("normal", 5, 2)  # 2nd = 20 floats: at the limit
+    for build in (lambda: scalar_block_spec("normal", 3, 4),
+                  lambda: spec_with(n=3, d=4)):
+        with pytest.raises(ValidationError, match=r"20 floats.*n=3, d=4"):
+            build()
+    path = tmp_path / "big.cfg"
+    path.write_text("scenario = big\nmode = size\nfamily = normal\nn = 6\nd = 2\n")
+    with pytest.raises(ValidationError, match="n=6, d=2"):
+        load_scenario(path)
+    with redirect_stderr(StringIO()) as err:
+        assert main(["simulate", str(path)]) == 2
+    assert "MAX_DRAW_FLOATS" in err.getvalue()
 
 
 @pytest.mark.parametrize("var1, var2", [(1e308, 1e308), (1e308, 1.0), (1.0, 1e308)])
