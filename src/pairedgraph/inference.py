@@ -3,8 +3,8 @@
 Permutation p-values condition on the graph: each of the 2^n within-pair
 swaps only changes the labels. Written as a spin vector sigma in {+1, -1}^n,
 a swap gives 2 (R1 - R2) = c' sigma and 4 (R1 + R2) = 2m + sigma' W sigma,
-a linear and a quadratic form built once per cross-pair graph
-(``_spin_form``), so a block of B swaps costs one B x n mat-vec and one
+a linear and a quadratic form that ``_spin_form`` reads off the graph's
+``c`` and ``links``, so a block of B swaps costs one B x n mat-vec and one
 B x n by n x n product. For n at or below the exact threshold all 2^n
 swaps are enumerated in code order; beyond it, swaps are sampled with a
 seeded PCG64 generator. Both reach one tally loop as blocks of at most
@@ -28,8 +28,6 @@ from .graph import DisconnectedError, SimilarityGraph, build_kmst, distance_matr
 from .moments import (
     CrossPairGraph,
     NullMoments,
-    _pair_links,
-    _q_and_s,
     census_q3,
     extract_cross_pair_graph,
     null_moments,
@@ -114,8 +112,8 @@ def _spin_form(cross: CrossPairGraph):
         2 (R1 - R2) = c' sigma,           c_p = deg(p) - deg(p + n),
         4 (R1 + R2) = 2m + sigma' W sigma,
 
-    with W the symmetric pair matrix of the signed link weights of
-    ``moments._pair_links``: W_pq = W_qp = sum of t_u t_v over the cross edges
+    with W the symmetric pair matrix of the signed link weights in
+    ``cross.links``: W_pq = W_qp = sum of t_u t_v over the cross edges
     joining pairs p and q, and W has a zero diagonal. Returns (c, W, m).
 
     Every partial sum of S @ c, S @ W and the row-wise sigma' (W sigma) is an
@@ -126,12 +124,11 @@ def _spin_form(cross: CrossPairGraph):
     """
     n, m = cross.n_pairs, cross.n_edges
     dtype = _spin_dtype(m)
-    pa, pb, _, w_link = _pair_links(cross)
+    pa, pb, _, w_link = cross.links
     w = np.zeros((n, n), dtype=dtype)
     w[pa, pb] = w_link
     w[pb, pa] = w_link
-    c = (cross.deg[:n] - cross.deg[n:]).astype(dtype)
-    return c, w, m
+    return cross.c.astype(dtype), w, m
 
 
 def _spin_counts(spin, bits: np.ndarray):
@@ -329,7 +326,7 @@ def run_oracle_validation(
         for value, empirical in zip(astuple(analytic), population):
             max_moment_error = max(max_moment_error, abs(value - float(empirical)))
 
-        if _q_and_s(cross)[0] != census_q3(cross):
+        if cross.q != census_q3(cross):
             census_mismatches += 1
 
         z_m, z_s, z_g = standardize(r1, r2, analytic)

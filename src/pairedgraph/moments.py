@@ -7,7 +7,9 @@ nodes form a pair). Within-pair edges can never join two equal labels, so
 every moment is a function of the cross-pair subgraph alone: of its edge
 count m, its degree vector deg and the signed weight w of each pair-pair
 link, the sum of t_u t_v over the link's edges with side sign t = +1 below
-n and -1 otherwise (``_pair_links``).
+n and -1 otherwise. ``CrossPairGraph`` contracts its edges to these links
+once, by ``_pair_links``, and keeps the table as ``links``; the moments,
+the diagnostics and the spin form of ``inference`` all read it.
 
 A swap is a spin vector sigma in {+1, -1}^n with 4 (R1 + R2) = 2m +
 sigma' W sigma, W the symmetric matrix of the link weights
@@ -26,7 +28,7 @@ division, so every moment is an exact binary fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,10 +49,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CrossPairGraph:
-    """The similarity graph with within-pair edges removed, and its degrees."""
+    """Cross-pair edges and degrees, with the pair form derived from them once."""
 
     edges: np.ndarray  # (m, 2) int64, u < v, no edge joins a node to its partner
     deg: np.ndarray  # degree of every pooled node
+    links: tuple = field(init=False)  # (pa, pb, mult, w) from _pair_links
+    c: np.ndarray = field(init=False)  # deg(p) - deg(p + n) for every pair p
+    q: int = field(init=False)  # w'w over the links
+    s: int = field(init=False)  # c'c
+
+    def __post_init__(self) -> None:
+        n = self.n_pairs
+        links = _pair_links(self.edges, n)
+        c = self.deg[:n] - self.deg[n:]
+        for arr in (self.edges, self.deg, *links, c):
+            arr.setflags(write=False)
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "q", int(links[3] @ links[3]))
+        object.__setattr__(self, "s", int(c @ c))
 
     @property
     def n_edges(self) -> int:
@@ -125,20 +142,17 @@ def extract_cross_pair_graph(graph: SimilarityGraph) -> CrossPairGraph:
     edges = graph.edges
     edges = edges[_partner(n_nodes)[edges[:, 0]] != edges[:, 1]]
     deg = np.bincount(edges.ravel(), minlength=n_nodes).astype(np.int64)
-    edges.setflags(write=False)
-    deg.setflags(write=False)
     return CrossPairGraph(edges=edges, deg=deg)
 
 
-def _pair_links(cross: CrossPairGraph):
-    """The cross edges contracted to pair-pair links {pa < pb}.
+def _pair_links(edges: np.ndarray, n: int):
+    """The cross edges contracted to pair-pair links {pa < pb}, once per graph.
 
     Returns int64 arrays (pa, pb, mult, w) with one entry per link: its edge
     count and its signed weight w = sum of t_u t_v over its edges, side sign
     t = +1 for nodes below n and -1 otherwise.
     """
-    n = cross.n_pairs
-    u, v = cross.edges[:, 0], cross.edges[:, 1]
+    u, v = edges[:, 0], edges[:, 1]
     pu, pv = _pair_id(u, n), _pair_id(v, n)
     key = np.minimum(pu, pv) * n + np.maximum(pu, pv)
     links, link = np.unique(key, return_inverse=True)
@@ -148,39 +162,27 @@ def _pair_links(cross: CrossPairGraph):
     return links // n, links % n, plus + minus, plus - minus
 
 
-def _q_and_s(cross: CrossPairGraph) -> tuple[int, int]:
-    n = cross.n_pairs
-    w = _pair_links(cross)[3]
-    diff = cross.deg[:n] - cross.deg[n:]
-    return int(w @ w), int(diff @ diff)
-
-
 def null_moments(cross: CrossPairGraph) -> NullMoments:
     """Closed-form moments of (R1, R2); exact binary fractions."""
-    q, s = _q_and_s(cross)
     return NullMoments(
         e_r1=cross.n_edges / 4.0,
-        var_r1=(q + s) / 16.0,
-        cov_r12=(q - s) / 16.0,
-        var_sum=q / 4.0,
-        var_diff=s / 4.0,
+        var_r1=(cross.q + cross.s) / 16.0,
+        cov_r12=(cross.q - cross.s) / 16.0,
+        var_sum=cross.q / 4.0,
+        var_diff=cross.s / 4.0,
     )
 
 
 def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
     """Pair-neighborhood sizes and the two variance numerators.
 
-    With pairs contracted to pair-nodes by ``_pair_links``, W the symmetric
+    With pairs contracted to pair-nodes (``cross.links``), W the symmetric
     link multiplicity matrix and dp = W 1: |A_e| = dp[pa] + dp[pb] - W[pa, pb]
     and |B_e| = X dp - X W X' / 2, X the indicator row of N[pa] | N[pb]. Each
     link {pa, pb} is evaluated once, weighted by W[pa, pb]; all in int64.
     """
-    q, s = _q_and_s(cross)
-    if cross.n_edges == 0:
-        return ConditionDiagnostics(0, 0, 0, None)
-
-    n = cross.n_pairs
-    pa, pb, w_link, _ = _pair_links(cross)
+    n, q = cross.n_pairs, cross.q
+    pa, pb, w_link, _ = cross.links
     rows, cols = np.concatenate([pa, pb]), np.concatenate([pb, pa])
     w = sp.csr_matrix((np.tile(w_link, 2), (rows, cols)), shape=(n, n))
     dp = cross.deg[:n] + cross.deg[n:]
@@ -192,7 +194,7 @@ def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
     sum_ab = int(w_link @ (a * b))
     ratio = float(sum_ab / q**1.5) if q > 0 else None
     return ConditionDiagnostics(
-        sum_ab=sum_ab, sum_degdiff_sq=s, q3=q, ab_ratio=ratio
+        sum_ab=sum_ab, sum_degdiff_sq=cross.s, q3=q, ab_ratio=ratio
     )
 
 

@@ -13,9 +13,11 @@ do not depend on evaluation order.
 
 from __future__ import annotations
 
+import csv
 import math
 import sys
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +77,8 @@ class GeneratorSpec:
             vec = np.asarray(getattr(self, name), dtype=float).ravel()
             if vec.size != d:
                 raise ValidationError(f"{name} must have length d={d}")
+            if not np.isfinite(vec).all():
+                raise ValidationError(f"{name} must have finite entries")
             object.__setattr__(self, name, vec)
         for name in ("gamma1", "gamma2", "gamma12"):
             scale = np.asarray(getattr(self, name), dtype=float)
@@ -400,28 +404,28 @@ def run_scenario(scenario: Scenario) -> StudyResult:
 
 
 def results_to_csv(results) -> str:
-    """One CSV row per (scenario, test, level); deterministic formatting."""
-    lines = [
-        "scenario,mode,test,level,rejections,valid,replicates,degenerate,proportion,seed"
-    ]
+    """One CSV row per (scenario, test, level); fields quoted only where CSV must."""
+    out = StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        "scenario,mode,test,level,rejections,valid,replicates,degenerate,"
+        "proportion,seed".split(",")
+    )
     for res in results:
         for test in res.tests:
             for level in res.levels:
-                prop = res.proportion(test, level)
-                lines.append(
-                    ",".join(
-                        [
-                            res.scenario,
-                            res.mode,
-                            test,
-                            format(level, FLOAT_FORMAT),
-                            str(res.rejections[test][level]),
-                            str(res.valid[test]),
-                            str(res.replicates),
-                            str(res.degenerate[test]),
-                            format(prop, FLOAT_FORMAT),
-                            str(res.seed),
-                        ]
-                    )
+                writer.writerow(
+                    [
+                        res.scenario,
+                        res.mode,
+                        test,
+                        format(level, FLOAT_FORMAT),
+                        res.rejections[test][level],
+                        res.valid[test],
+                        res.replicates,
+                        res.degenerate[test],
+                        format(res.proportion(test, level), FLOAT_FORMAT),
+                        res.seed,
+                    ]
                 )
-    return "\n".join(lines) + "\n"
+    return out.getvalue()

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pairedgraph import PairedSample, ValidationError, pool
+from pairedgraph import (
+    PairedSample,
+    SimilarityGraph,
+    ValidationError,
+    extract_cross_pair_graph,
+    pool,
+)
 from pairedgraph.moments import _partner
 
 
@@ -67,3 +73,9 @@ def test_types_are_immutable():
     sample = PairedSample(x=np.zeros((2, 2)), y=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         sample.x[0, 0] = 1.0
+
+    # the cross-pair graph and the pair form derived from it cannot drift apart
+    cross = extract_cross_pair_graph(SimilarityGraph(np.array([[0, 1], [0, 3]]), 4))
+    for arr in (cross.edges, cross.deg, *cross.links, cross.c):
+        with pytest.raises(ValueError):
+            arr[0] = 0

@@ -13,9 +13,12 @@ from pairedgraph import (
     distance_matrix,
     extract_cross_pair_graph,
     null_moments,
+    run_paired_test,
+    run_power_study,
+    scalar_block_spec,
 )
+from pairedgraph import moments
 from pairedgraph.inference import _random_cross_pair_edges
-from pairedgraph.moments import _pair_links, _q_and_s
 
 from oracles import (
     brute_sum_ab,
@@ -39,7 +42,7 @@ def cross_of(edges, n):
 
 
 def links_of(cross):
-    return [arr.tolist() for arr in _pair_links(cross)]
+    return [arr.tolist() for arr in cross.links]
 
 
 def test_extract_drops_within_pair_edges():
@@ -48,7 +51,7 @@ def test_extract_drops_within_pair_edges():
     assert cross.deg.tolist() == [1, 1, 1, 1]
     # both edges join pairs 0 and 1 on equal sides: one link of weight 2
     assert links_of(cross) == [[0], [1], [2], [2]]
-    assert _q_and_s(cross) == (4, 0)
+    assert (cross.q, cross.s) == (4, 0)
 
 
 def test_extract_shared_endpoint_counts():
@@ -56,15 +59,37 @@ def test_extract_shared_endpoint_counts():
     assert cross.deg.tolist() == [2, 1, 0, 1]
     # (0, 1) keeps to one side and (0, 3) crosses over: their signs cancel
     assert links_of(cross) == [[0], [1], [2], [0]]
-    assert _q_and_s(cross) == (0, 4)
+    assert (cross.q, cross.s) == (0, 4)
 
 
 def test_extract_within_pair_only_graph_is_empty():
     cross = cross_of([[0, 2], [1, 3]], 2)
     assert cross.n_edges == 0
     assert links_of(cross) == [[], [], [], []]
-    assert _q_and_s(cross) == (0, 0)
+    assert (cross.q, cross.s) == (0, 0)
     assert cross.deg.tolist() == [0, 0, 0, 0]
+
+
+def test_each_cross_pair_graph_is_contracted_once(monkeypatch):
+    # moments, diagnostics and the spin form all read the table built on
+    # construction, so a test and a study replicate each contract once
+    calls = []
+    contract = moments._pair_links
+
+    def counted(edges, n):
+        calls.append(n)
+        return contract(edges, n)
+
+    monkeypatch.setattr(moments, "_pair_links", counted)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((12, 3))
+    run_paired_test(x, x + rng.standard_normal((12, 3)), k=2, pvalue="both",
+                    n_perm=100, seed=0)
+    assert calls == [12]
+    calls.clear()
+    spec = scalar_block_spec("normal", 10, 2, mean_diff_norm=1.0)
+    run_power_study(spec, replicates=3, k=2)
+    assert calls == [10, 10, 10]
 
 
 def test_moments_disjoint_mirror_pair():
@@ -198,8 +223,7 @@ def draw_edge_set(data):
 
 def assert_q_matches_mirror_counts(cross):
     c1, c2 = mirror_counts(cross)
-    q, _ = _q_and_s(cross)
-    assert q == cross.n_edges + 2 * c1 - 2 * c2
+    assert cross.q == cross.n_edges + 2 * c1 - 2 * c2
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
+import csv
 import math
 import sys
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import numpy as np
@@ -55,6 +56,13 @@ def test_spec_validates_shapes_and_psd():
             n=5,
             d=2,
         )
+    # a non-finite mean is named at construction, not in the first replicate
+    for name in ("nu1", "nu2"):
+        for bad in (math.inf, -math.inf, math.nan):
+            means = {"nu1": np.zeros(2), "nu2": np.zeros(2), name: np.array([0.0, bad])}
+            with pytest.raises(ValidationError, match=f"{name} must have finite"):
+                GeneratorSpec(family="normal", gamma1=1.0, gamma2=1.0, gamma12=0.0,
+                              n=5, d=2, **means)
 
     # a c * I_d block is read as the scalar c: same spec, same draw
     eye = np.eye(3)
@@ -288,6 +296,24 @@ def test_scenario_file_round_trip(tmp_path):
     csv_text = results_to_csv([result])
     assert csv_text.startswith("scenario,mode,test,level,")
     assert "smoke,power,z_m,0.05" in csv_text
+
+
+def test_scenario_names_are_quoted_in_the_csv(tmp_path):
+    name = 'normal, d5 "quoted"'
+    path = tmp_path / "quoted.cfg"
+    path.write_text(
+        f"scenario = {name}\nmode = size\nfamily = normal\nn = 8\nd = 2\n"
+        "replicates = 3\nk = 2\n"
+    )
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main(["simulate", str(path)]) == 0
+    spec = scalar_block_spec("normal", 8, 2, mean_diff_norm=1.0)
+    study = results_to_csv([run_power_study(spec, replicates=3, k=2, scenario=name)])
+    for text in (out.getvalue(), study):
+        rows = list(csv.reader(StringIO(text)))
+        assert [len(row) for row in rows] == [10] * len(rows)
+        assert [row[0] for row in rows[1:]] == [name] * (len(rows) - 1)
 
 
 def test_scenario_file_errors(tmp_path):
