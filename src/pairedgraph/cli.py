@@ -122,8 +122,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    results = [run_scenario(load_scenario(path)) for path in args.scenarios]
-    csv_text = results_to_csv(results)
+    scenarios = [load_scenario(path) for path in args.scenarios]  # all checked first
+    csv_text = results_to_csv([run_scenario(scenario) for scenario in scenarios])
     if args.output:
         Path(args.output).write_text(csv_text)
     else:

@@ -40,7 +40,7 @@ def _check_matrix(arr, name: str) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedSample:
     """n pairs of d-dimensional observations, one (x row, y row) per pair."""
 

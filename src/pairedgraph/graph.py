@@ -41,7 +41,7 @@ def _check_entries(d: np.ndarray) -> None:
         raise ValidationError("distance matrix contains negative entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Distances of the pairs u < v of N >= 2 nodes, condensed in pdist order."""
 
@@ -98,7 +98,7 @@ def precomputed_distance(matrix) -> DistanceMatrix:
     return DistanceMatrix(squareform(d, checks=False), "precomputed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityGraph:
     """Undirected edge set over pooled nodes.
 

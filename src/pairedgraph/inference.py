@@ -25,13 +25,7 @@ import numpy as np
 
 from .core import ValidationError
 from .graph import DisconnectedError, SimilarityGraph, build_kmst, distance_matrix
-from .moments import (
-    CrossPairGraph,
-    NullMoments,
-    census_q3,
-    extract_cross_pair_graph,
-    null_moments,
-)
+from .moments import CrossPairGraph, census_q3, extract_cross_pair_graph, null_moments
 from .stats import StatisticTriple, standardize
 
 __all__ = [
@@ -162,7 +156,6 @@ def _enumerated_flip_chunks(n: int):
 
 def permutation_pvalues(
     cross: CrossPairGraph,
-    moments: NullMoments,
     *,
     n_perm: int = 10000,
     seed: int | None = None,
@@ -171,10 +164,10 @@ def permutation_pvalues(
 ) -> PValueReport:
     """Permutation p-values for the observed (identity) labeling.
 
-    ``mode`` is "exact", "monte-carlo", or "auto" (exact when n is at or
-    below ``DEFAULT_EXACT_THRESHOLD``). Exact mode counts swaps whose
-    statistic is >= the observed one (or > with ``strict=True``) out of all
-    2^n.
+    Every swap is standardized by ``null_moments(cross)``. ``mode`` is
+    "exact", "monte-carlo", or "auto" (exact when n is at or below
+    ``DEFAULT_EXACT_THRESHOLD``). Exact mode counts swaps whose statistic is
+    >= the observed one (or > with ``strict=True``) out of all 2^n.
     """
     n = cross.n_pairs
     if mode not in ("auto", "exact", "monte-carlo"):
@@ -195,6 +188,7 @@ def permutation_pvalues(
         total, extra = n_perm, 1
 
     spin = _spin_form(cross)
+    moments = null_moments(cross)
 
     def folded(bits):  # (z_m, |z_s|, z_g) per swap row; None where degenerate
         z_m, z_s, z_g = standardize(*_spin_counts(spin, bits), moments)

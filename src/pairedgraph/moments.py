@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossPairGraph:
     """Cross-pair edges and degrees, with the pair form derived from them once."""
 

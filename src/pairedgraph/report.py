@@ -148,7 +148,6 @@ def run_paired_test(
     if pvalue in ("permutation", "both"):
         pvals = permutation_pvalues(
             cross,
-            moments,
             n_perm=n_perm,
             seed=seed,
             mode="exact" if exact else "auto",

@@ -4,9 +4,11 @@ A scenario draws n pairs (X_i, Y_i) whose stacked 2d-vector follows a
 multivariate normal, t3 or log-normal law with stacked mean (nu1, nu2) and
 covariance (block scales) ⊗ I_d, the block scales being the 2 x 2 matrix
 [[gamma1, gamma12], [gamma12, gamma2]]. The covariance has its eigenvalues,
-so the PSD check and the factor are 2 x 2 ones, and a draw combines the two
-halves of one n x 2d standard normal matrix by that factor. The t3 sampler
-is scaled so its *variance* (not its scale matrix) equals the covariance.
+so the PSD check and the factor are 2 x 2 ones: a ``GeneratorSpec`` checks
+its block scales and keeps the factor when it is built, and a draw combines
+the two halves of one n x 2d standard normal matrix by that factor. The t3
+sampler is scaled so its *variance* (not its scale matrix) equals the
+covariance.
 Replicate r uses the independent stream default_rng([seed, r]), so results
 do not depend on evaluation order.
 """
@@ -16,14 +18,14 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import SingularCovarianceError, hotelling_paired
-from .core import FLOAT_FORMAT, PairedSample, ValidationError, pool
+from .core import FLOAT_FORMAT, PairedSample, ValidationError, _readonly, pool
 from .graph import distance_matrix
 from .inference import asymptotic_pvalues
 from .io import _lines, _read_text
@@ -53,9 +55,13 @@ def _check_draw_size(n: int, d: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSpec:
-    """Family, stacked mean and block scales; a c * I_d array block is read as c."""
+    """Family, stacked mean and block scales; a c * I_d array block is read as c.
+
+    ``nu1`` and ``nu2`` are read-only copies; ``factor`` is the read-only
+    2 x 2 factor of the block scales from ``_cov_factor``.
+    """
 
     family: str
     nu1: np.ndarray
@@ -65,6 +71,7 @@ class GeneratorSpec:
     gamma12: float
     n: int
     d: int
+    factor: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -74,7 +81,7 @@ class GeneratorSpec:
         _check_draw_size(self.n, self.d)
         d = self.d
         for name in ("nu1", "nu2"):
-            vec = np.asarray(getattr(self, name), dtype=float).ravel()
+            vec = _readonly(np.asarray(getattr(self, name), dtype=float).ravel())
             if vec.size != d:
                 raise ValidationError(f"{name} must have length d={d}")
             if not np.isfinite(vec).all():
@@ -90,6 +97,7 @@ class GeneratorSpec:
             if scale.ndim or not math.isfinite(scale):
                 raise ValidationError(f"{name} must be a finite scalar or c * I_{d}")
             object.__setattr__(self, name, float(scale))
+        object.__setattr__(self, "factor", _readonly(_cov_factor(self)))
 
 
 def _cov_factor(spec: GeneratorSpec) -> np.ndarray:
@@ -149,13 +157,11 @@ def scalar_block_spec(
     )
 
 
-def _generate(
-    spec: GeneratorSpec, rng: np.random.Generator, factor: np.ndarray
-) -> PairedSample:
-    """Draw one paired sample from ``rng``; ``factor`` comes from _cov_factor."""
+def _generate(spec: GeneratorSpec, rng: np.random.Generator) -> PairedSample:
+    """Draw one paired sample from ``rng`` through ``spec.factor``."""
     n, d = spec.n, spec.d
     z = rng.standard_normal((n, 2 * d))
-    (a, b), (c, e) = factor  # x = a z1 + b z2 and y = c z1 + e z2, coordinatewise
+    (a, b), (c, e) = spec.factor  # x = a z1 + b z2, y = c z1 + e z2, coordinatewise
     rows = np.hstack([a * z[:, :d] + b * z[:, d:], c * z[:, :d] + e * z[:, d:]])
     if spec.family == "t3":
         # variance-targeted t3: nu + L z / sqrt(w), w ~ chi2(3), E(1/w) = 1
@@ -205,7 +211,6 @@ def _run_study(
     levels,
     mode: str,
     scenario: str,
-    with_hotelling: bool,
 ) -> StudyResult:
     if replicates < 1:
         raise ValidationError("replicate count must be positive")
@@ -214,15 +219,15 @@ def _run_study(
     levels = tuple(sorted(float(a) for a in levels))
     if not levels or any(not 0 < a <= 1 for a in levels):
         raise ValidationError("levels must lie in (0, 1]")
+    with_hotelling = mode == "power" and spec.d < spec.n
     tests = list(GRAPH_TESTS) + (["ht"] if with_hotelling else [])
     rejections = {t: {a: 0 for a in levels} for t in tests}
     valid = {t: 0 for t in tests}
     degenerate = {t: 0 for t in tests}
-    factor = _cov_factor(spec)
 
     for rep in range(replicates):
         rng = np.random.default_rng([seed, rep])
-        sample = _generate(spec, rng, factor)
+        sample = _generate(spec, rng)
         try:
             dist = distance_matrix(pool(sample))
         except ValidationError as exc:
@@ -272,9 +277,7 @@ def run_size_study(
         raise ValidationError(
             "size study needs a null scenario: nu1 == nu2 and gamma1 == gamma2"
         )
-    return _run_study(
-        spec, replicates, k, seed, levels, "size", scenario, with_hotelling=False
-    )
+    return _run_study(spec, replicates, k, seed, levels, "size", scenario)
 
 
 def run_power_study(
@@ -286,16 +289,7 @@ def run_power_study(
     scenario: str = "power",
 ) -> StudyResult:
     """Estimated power; includes the Hotelling baseline whenever d < n."""
-    return _run_study(
-        spec,
-        replicates,
-        k,
-        seed,
-        levels,
-        "power",
-        scenario,
-        with_hotelling=spec.d < spec.n,
-    )
+    return _run_study(spec, replicates, k, seed, levels, "power", scenario)
 
 
 # --- scenario files ---------------------------------------------------------
@@ -371,15 +365,18 @@ def load_scenario(path) -> Scenario:
     except ValueError:
         raise ValidationError(f"{path}: levels must be comma-separated numbers") from None
 
-    spec = scalar_block_spec(
-        values["family"],
-        values["n"],
-        values["d"],
-        mean_diff_norm=values["mean_diff_norm"],
-        var1=values["var1"],
-        var2=values["var2"],
-        rho12=values["rho12"],
-    )
+    try:
+        spec = scalar_block_spec(
+            values["family"],
+            values["n"],
+            values["d"],
+            mean_diff_norm=values["mean_diff_norm"],
+            var1=values["var1"],
+            var2=values["var2"],
+            rho12=values["rho12"],
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return Scenario(
         name=values["scenario"],
         mode=values["mode"],

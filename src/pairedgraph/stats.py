@@ -26,17 +26,12 @@ from .moments import (
 )
 
 __all__ = [
-    "VARIANCE_FLOOR",
     "EdgeCounts",
     "StatisticTriple",
     "standardize",
     "statistics",
     "graph_test",
 ]
-
-# Null variances are integer multiples of 1/4, so anything below this floor
-# is an exact zero up to rounding.
-VARIANCE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,17 +56,18 @@ def standardize(r1, r2, moments: NullMoments):
     """Signed (z_m, z_s, z_g) for counts or arrays of counts.
 
     A direction whose null variance vanishes gives None instead of a value.
+    The variances are q/4 and s/4 for integers q and s, so the test is exact.
     """
     var_sum = moments.var_sum
     var_diff = moments.var_diff
     det = var_sum * var_diff / 4.0  # = det(sigma_r)
 
     z_m = z_s = z_g = None
-    if var_sum >= VARIANCE_FLOOR:
+    if var_sum > 0:
         z_m = (r1 + r2 - 2.0 * moments.e_r1) / math.sqrt(var_sum)
-    if var_diff >= VARIANCE_FLOOR:
+    if var_diff > 0:
         z_s = (r1 - r2) / math.sqrt(var_diff)
-    if det >= VARIANCE_FLOOR:
+    if det > 0:
         v1 = r1 - moments.e_r1
         v2 = r2 - moments.e_r1
         z_g = (

@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pairedgraph import (
+    DistanceMatrix,
+    GeneratorSpec,
     PairedSample,
     SimilarityGraph,
     ValidationError,
@@ -79,3 +81,39 @@ def test_types_are_immutable():
     for arr in (cross.edges, cross.deg, *cross.links, cross.c):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+    # a spec keeps its own copy of the means, and neither they nor its factor
+    # can be written
+    nu = np.zeros(3)
+    spec = GeneratorSpec(family="normal", nu1=nu, nu2=nu, gamma1=1.0, gamma2=1.0,
+                         gamma12=0.5, n=4, d=3)
+    nu[:] = 5.0
+    assert not spec.nu1.any() and not spec.nu2.any()
+    for arr in (spec.nu1, spec.nu2, spec.factor):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(TypeError):
+        GeneratorSpec(family="normal", nu1=nu, nu2=nu, gamma1=1.0, gamma2=1.0,
+                      gamma12=0.5, n=4, d=3, factor=np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PairedSample(x=np.zeros((2, 2)), y=np.ones((2, 2))),
+        lambda: DistanceMatrix(np.arange(1.0, 7.0), "precomputed"),
+        lambda: SimilarityGraph(np.array([[0, 1], [0, 3]]), 4),
+        lambda: extract_cross_pair_graph(
+            SimilarityGraph(np.array([[0, 1], [0, 3]]), 4)
+        ),
+        lambda: GeneratorSpec(family="normal", nu1=np.zeros(3), nu2=np.zeros(3),
+                              gamma1=1.0, gamma2=1.0, gamma12=0.5, n=4, d=3),
+    ],
+    ids=["PairedSample", "DistanceMatrix", "SimilarityGraph", "CrossPairGraph",
+         "GeneratorSpec"],
+)
+def test_array_types_compare_by_identity(build):
+    a, b = build(), build()
+    assert a == a
+    assert a != b
+    assert hash(a) == hash(a) and hash(a) != hash(b)

@@ -22,14 +22,14 @@ from pairedgraph import (
 )
 from pairedgraph import simulate
 from pairedgraph.cli import main
-from pairedgraph.simulate import _cov_factor, _generate
+from pairedgraph.simulate import _generate
 
 from oracles import dense_generate
 
 
 def draw_sample(spec, seed):
     """One paired sample drawn from default_rng(seed), as a study replicate is."""
-    return _generate(spec, np.random.default_rng(seed), _cov_factor(spec))
+    return _generate(spec, np.random.default_rng(seed))
 
 
 def spec_with(d=2, n=5, **blocks):
@@ -43,8 +43,8 @@ def test_spec_validates_shapes_and_psd():
     with pytest.raises(ValidationError, match="family"):
         scalar_block_spec("cauchy", 10, 2)
     with pytest.raises(ValidationError, match="positive semi-definite"):
-        # cross block too strong for the marginals
-        draw_sample(scalar_block_spec("normal", 5, 2, rho12=1.2), seed=0)
+        # cross block too strong for the marginals: refused when the spec is built
+        scalar_block_spec("normal", 5, 2, rho12=1.2)
     with pytest.raises(ValidationError, match="nu1"):
         GeneratorSpec(
             family="normal",
@@ -117,8 +117,7 @@ def test_generate_matches_the_dense_draw(family, var1, var2, rho12):
 def test_study_tallies_match_the_dense_draw(monkeypatch, family):
     spec = scalar_block_spec(family, 12, 3, mean_diff_norm=0.7, var2=1.5)
     elementwise = run_power_study(spec, replicates=6, k=3, seed=5)
-    monkeypatch.setattr(simulate, "_generate",
-                        lambda spec, rng, factor: dense_generate(spec, rng))
+    monkeypatch.setattr(simulate, "_generate", dense_generate)
     assert run_power_study(spec, replicates=6, k=3, seed=5) == elementwise
 
 
@@ -147,13 +146,12 @@ def test_overflowing_variances_are_named(var1, var2):
 def test_largest_accepted_variances_keep_the_factor_finite():
     limit = sys.float_info.max / 2
     spec = scalar_block_spec("normal", 5, 2, var1=limit, var2=limit, rho12=0.9)
-    assert np.isfinite(_cov_factor(spec)).all()
+    assert np.isfinite(spec.factor).all()
 
 
 def test_huge_cross_correlation_fails_the_psd_check():
-    spec = scalar_block_spec("normal", 2, 1, rho12=1e308)
     with pytest.raises(ValidationError, match="positive semi-definite"):
-        _cov_factor(spec)
+        scalar_block_spec("normal", 2, 1, rho12=1e308)
 
 
 def test_overflowing_lognormal_draw_is_named():
@@ -333,6 +331,29 @@ def test_scenario_file_errors(tmp_path):
     missing.write_text("scenario = x\nmode = size\nfamily = normal\nn = 5\n")
     with pytest.raises(ValidationError, match="missing required key"):
         load_scenario(missing)
+
+    not_psd = tmp_path / "not_psd.cfg"
+    not_psd.write_text("scenario = x\nmode = power\nfamily = normal\nn = 5\nd = 2\n"
+                       "rho12 = 1.2\n")
+    with pytest.raises(ValidationError, match="not_psd.cfg: .*positive semi-definite"):
+        load_scenario(not_psd)
+
+
+@pytest.mark.parametrize("bad", ["rho12 = 1.2\n", "wat = 1\n"])
+def test_simulate_checks_every_file_before_any_study(monkeypatch, tmp_path, bad):
+    calls = []
+    run_study = simulate._run_study
+    monkeypatch.setattr(simulate, "_run_study",
+                        lambda *args: calls.append(args) or run_study(*args))
+    head = "mode = size\nfamily = normal\nn = 6\nd = 2\nreplicates = 2\nk = 2\n"
+    good, last = tmp_path / "good.cfg", tmp_path / "last.cfg"
+    good.write_text("scenario = good\n" + head)
+    last.write_text("scenario = last\n" + head + bad)
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["simulate", str(good), str(last)]) == 2
+    assert calls == [] and out.getvalue() == ""
+    assert "last.cfg" in err.getvalue()
 
 
 # key: (typical values, edge values: zero, negative, non-finite, out of range)
