@@ -1,19 +1,22 @@
 """Asymptotic and permutation p-values, plus the exhaustive small-n check.
 
 Permutation p-values condition on the graph: each of the 2^n within-pair
-swaps only changes the labels. Written as a spin vector sigma in {+1, -1}^n,
-a swap gives 2 (R1 - R2) = c' sigma and 4 (R1 + R2) = 2m + sigma' W sigma,
-a linear and a quadratic form that ``_spin_form`` reads off the graph's
-``c`` and ``links``, so a block of B swaps costs one B x n mat-vec and one
-B x n by n x n product. For n at or below the exact threshold all 2^n
-swaps are enumerated in code order; beyond it, swaps are sampled with a
-seeded PCG64 generator. Both reach one tally loop as blocks of at most
-``_CHUNK`` swap bit rows, and each p-value is (extra + hits) /
-(total + extra): extra = 0 for enumeration, and extra = 1 for sampling,
-the add-one estimator, which can never return 0. Enumeration past the
-threshold raises ``ExactTooLargeError`` from one guard. The oracle sweep
-enumerates each random instance once and reads the population moments and
-the z_g identity residual from the same counts.
+swaps only changes the labels. A swap sets one bit b_p per pair, and with
+the spin sigma = 1 - 2 b, 2 (R1 - R2) = c' sigma and 4 (R1 + R2) = 2m +
+2 sum w sigma_pa sigma_pb over the graph's ``c`` and ``links``.
+``_swap_counts`` reads both as weighted counts of set bits: the swap bits
+are packed pairs-major into uint64 words, 64 swaps to a word, and a
+bit-sliced adder tree sums the link rows (b_pa xor b_pb) and the pair rows
+in int64. A block of B swaps costs O((links + n) B / 64) word operations
+and no n x n array. For n at or below the exact threshold all 2^n swaps are
+enumerated in code order, their words built directly; beyond it, swaps are
+sampled with a seeded PCG64 generator as blocks of at most ``_CHUNK`` bit
+rows and then packed. Both reach one tally loop, and each p-value is
+(extra + hits) / (total + extra): extra = 0 for enumeration, and extra = 1
+for sampling, the add-one estimator, which can never return 0. Enumeration
+past the threshold raises ``ExactTooLargeError`` from one guard. The oracle
+sweep enumerates each random instance once and reads the population
+moments and the z_g identity residual from the same counts.
 """
 
 from __future__ import annotations
@@ -41,7 +44,11 @@ __all__ = [
 
 DEFAULT_EXACT_THRESHOLD = 20
 RNG_ALGORITHM = "PCG64"
-_CHUNK = 1 << 14
+_CHUNK = 1 << 14  # swap bit rows per Monte Carlo draw
+# Swaps per enumeration block. Each swap's counts and statistics take about
+# 75 bytes, so a block peaks near 2.4 MB whatever n is, and half as many
+# blocks as _CHUNK would give save Python overhead.
+_ENUMERATED_CHUNK = 2 * _CHUNK
 _ORACLE_MAX_K = 3  # largest k-MST multiplicity the oracle sweep draws
 ORACLE_MAX_DIM = 1000  # largest max_dim: each instance draws 2n x d normals
 _ORACLE_TOLERANCE = 1e-9
@@ -91,49 +98,127 @@ def asymptotic_pvalues(s: StatisticTriple) -> PValueReport:
     )
 
 
-def _spin_dtype(n_edges: int):
-    """float32 while 2m <= 2^24, where it counts swaps exactly; else float64."""
-    return np.float32 if 2 * n_edges <= 1 << 24 else np.float64
+_WORD = 64  # swaps per packed word
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_BYTE_PLACES = np.array([1 << i for i in range(8)], dtype=np.uint8)
+# bit p < 6 of the codes 64 j .. 64 j + 63, as one word whatever j is
+_LOW_CODE_BITS = np.array(
+    [sum(1 << i for i in range(_WORD) if i >> p & 1) for p in range(6)],
+    dtype=np.uint64,
+)
 
 
-def _spin_form(cross: CrossPairGraph):
-    """The swap null as a linear and a quadratic form in the pair spins.
+def _add_counts(x: list, y: list) -> list:
+    """The sum of two bit-sliced counts.
 
-    A swap bit b_p becomes the spin sigma_p = 1 - 2 b_p. With side sign
-    t = +1 for nodes below n and -1 otherwise, node u carries label 1 exactly
-    when t_u sigma_p(u) = +1. Summing the edge indicators of R1 and R2 gives
-
-        2 (R1 - R2) = c' sigma,           c_p = deg(p) - deg(p + n),
-        4 (R1 + R2) = 2m + sigma' W sigma,
-
-    with W the symmetric pair matrix of the signed link weights in
-    ``cross.links``: W_pq = W_qp = sum of t_u t_v over the cross edges
-    joining pairs p and q, and W has a zero diagonal. Returns (c, W, m).
-
-    Every partial sum of S @ c, S @ W and the row-wise sigma' (W sigma) is an
-    integer bounded by sum_p |c_p| <= 2m or sum_pq |W_pq| <= 2m, so floats
-    with a 24-bit significand hold it exactly in any summation order, BLAS or
-    FMA included, while 2m <= 2^24. ``_spin_dtype`` takes float32 under that
-    bound and float64 above it.
+    A count is a list of word planes, low bit first: bit i of word j in
+    plane k is bit k of the count at position 64 j + i. None stands for a
+    plane of zeros, so a count shifted up by k planes starts with k Nones.
     """
-    n, m = cross.n_pairs, cross.n_edges
-    dtype = _spin_dtype(m)
-    pa, pb, _, w_link = cross.links
-    w = np.zeros((n, n), dtype=dtype)
-    w[pa, pb] = w_link
-    w[pb, pa] = w_link
-    return cross.c.astype(dtype), w, m
+    width = max(len(x), len(y))
+    out, carry = [], None
+    for a, b in zip(x + [None] * (width - len(x)), y + [None] * (width - len(y))):
+        terms = [plane for plane in (a, b, carry) if plane is not None]
+        carry = None
+        if len(terms) == 3:  # full adder, in place on its own temporaries
+            a, b, c = terms
+            t = a ^ b
+            out.append(t ^ c)
+            t &= c
+            carry = a & b
+            carry |= t
+        elif len(terms) == 2:  # half adder
+            a, b = terms
+            out.append(a ^ b)
+            carry = a & b
+        else:
+            out.append(terms[0] if terms else None)
+    return out if carry is None else out + [carry]
 
 
-def _spin_counts(spin, bits: np.ndarray):
-    """(r1, r2) for a block of swap bit rows: one mat-vec and one GEMM."""
-    c, w, m = spin
-    s = bits.astype(w.dtype)
-    s *= -2
-    s += 1
-    diff = (s @ c).astype(np.int64)  # 2 (R1 - R2)
-    total = 2 * m + np.einsum("ij,ij->i", s @ w, s).astype(np.int64)  # 4 (R1 + R2)
+def _count_planes(rows: np.ndarray) -> list:
+    """How many of the (R, W) uint64 rows set each bit position, bit-sliced.
+
+    A carry-save adder tree: each level adds the bottom half of the rows to
+    the top half, one word plane per bit of the partial counts, so R rows
+    take about 10 R W word operations over log2(R) levels. A row left over
+    at an odd level waits and joins the root. The count of R rows takes at
+    most R.bit_length() planes.
+    """
+    if not rows.shape[0]:
+        return []
+    planes, waiting = [rows], []
+    while planes[0].shape[0] > 1:
+        half = planes[0].shape[0] // 2
+        if planes[0].shape[0] % 2:  # a copy, so the level's arrays can go
+            waiting.append([p[-1:].copy() for p in planes])
+        planes = _add_counts([p[:half] for p in planes], [p[half : 2 * half] for p in planes])
+    for extra in waiting:
+        planes = _add_counts(planes, extra)
+    while planes and not planes[-1].any():  # zero carries out of the top
+        planes.pop()
+    return planes
+
+
+def _unsliced(planes: list, size: int) -> np.ndarray:
+    """The int64 values of a bit-sliced count at its first ``size`` positions."""
+    total = np.zeros(size, dtype=np.int64)
+    for k, plane in enumerate(planes):
+        if plane is not None:
+            bits = plane.astype("<u8", copy=False).view(np.uint8)
+            total += np.unpackbits(bits, count=size, bitorder="little").astype(np.int64) << k
+    return total
+
+
+def _weighted_bit_sums(rows_of, weights: np.ndarray, size: int) -> np.ndarray:
+    """sum over r of weights[r] times bit j of row r, for each swap j < size.
+
+    ``rows_of(index)`` gathers the packed rows. A negative weight counts the
+    row's complement, since w b = |w| (1 - b) - |w|, and the rows with bit k
+    of |w| set add their count shifted up by k planes. Exact in int64.
+    """
+    magnitude = np.abs(weights)
+    flip = np.where(weights < 0, _ONES, np.uint64(0))
+    planes = []
+    for k in range(int(magnitude.max(initial=0)).bit_length()):
+        index = np.flatnonzero(magnitude >> k & 1)
+        rows = rows_of(index)
+        rows ^= flip[index, None]
+        planes = _add_counts(planes, [None] * k + _count_planes(rows))
+    return _unsliced(planes, size) - int(magnitude[weights < 0].sum())
+
+
+def _swap_counts(cross: CrossPairGraph, words: np.ndarray, size: int):
+    """(r1, r2) for ``size`` swaps whose bits are packed pairs-major in ``words``.
+
+    Bit i of word j in row p is pair p's swap bit b in swap 64 j + i; bits
+    from ``size`` on are padding and never counted. A spin sigma = 1 - 2 b
+    gives sigma_pa sigma_pb = 1 - 2 (b_pa xor b_pb), so over the links
+    (pa, pb, w) of ``cross.links`` and the pairs' ``cross.c``
+
+        4 (R1 + R2) = 2m + 2 sum w - 4 sum w (b_pa xor b_pb),
+        2 (R1 - R2) = sum c - 2 sum c_p b_p,
+
+    two weighted counts of set bits per swap.
+    """
+    pa, pb, _, w = cross.links
+    c = cross.c
+    linked = _weighted_bit_sums(lambda i: words[pa[i]] ^ words[pb[i]], w, size)
+    total = 2 * cross.n_edges + 2 * int(w.sum()) - 4 * linked  # 4 (R1 + R2)
+    diff = int(c.sum()) - 2 * _weighted_bit_sums(lambda i: words[i], c, size)
     return (total + 2 * diff) // 8, (total - 2 * diff) // 8
+
+
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """(B, n) swap bit rows as (n, ceil(B / 64)) words, pairs-major, zero padded."""
+    size, n = bits.shape
+    whole = size // 8
+    buf = np.zeros((n, 8 * -(-size // _WORD)), dtype=np.uint8)
+    rows = bits[: 8 * whole].reshape(whole, 8, n)
+    buf[:, :whole] = np.einsum("jin,i->nj", rows, _BYTE_PLACES)
+    if size % 8:
+        buf[:, whole] = np.einsum("in,i->n", bits[8 * whole :], _BYTE_PLACES[: size % 8])
+    return buf.view("<u8")
 
 
 def _require_exact(n: int) -> None:
@@ -145,13 +230,23 @@ def _require_exact(n: int) -> None:
         )
 
 
-def _enumerated_flip_chunks(n: int):
-    """Every swap's bit row, in code order (bit p of the code is pair p)."""
+def _enumerated_words(n: int):
+    """Every swap in code order (bit p of the code is pair p), as packed blocks.
+
+    Yields (words, size) blocks of at most ``_ENUMERATED_CHUNK`` swaps, a
+    multiple of 64 apart, so every block starts a word. Within a word,
+    code bit p < 6 is the fixed pattern ``_LOW_CODE_BITS[p]``; bit p >= 6 is
+    bit p - 6 of the word's index, so the word is all ones or all zeros.
+    """
     total = 1 << n
-    bits = np.arange(n, dtype=np.uint64)
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        yield ((codes[:, None] >> bits) & np.uint64(1)).astype(np.uint8)
+    shifts = np.arange(max(n - 6, 0), dtype=np.uint64)[:, None]
+    for start in range(0, total, _ENUMERATED_CHUNK):
+        size = min(_ENUMERATED_CHUNK, total - start)
+        index = np.arange(start // _WORD, -(-(start + size) // _WORD), dtype=np.uint64)
+        words = np.empty((n, index.size), dtype=np.uint64)
+        words[:6] = _LOW_CODE_BITS[:n, None]
+        words[6:] = (index >> shifts & np.uint64(1)) * _ONES
+        yield words, size
 
 
 def permutation_pvalues(
@@ -176,31 +271,31 @@ def permutation_pvalues(
         mode = "exact" if n <= DEFAULT_EXACT_THRESHOLD else "monte-carlo"
     if mode == "exact":
         _require_exact(n)
-        blocks, total, extra = _enumerated_flip_chunks(n), 1 << n, 0
+        blocks, total, extra = _enumerated_words(n), 1 << n, 0
     elif n_perm < 1:
         raise ValidationError("monte-carlo needs at least one permutation")
     else:
         rng = np.random.default_rng(seed)
+        sizes = [min(_CHUNK, n_perm - start) for start in range(0, n_perm, _CHUNK)]
         blocks = (
-            rng.integers(0, 2, size=(min(_CHUNK, n_perm - start), n), dtype=np.uint8)
-            for start in range(0, n_perm, _CHUNK)
+            (_packed(rng.integers(0, 2, size=(size, n), dtype=np.uint8)), size)
+            for size in sizes
         )
         total, extra = n_perm, 1
 
-    spin = _spin_form(cross)
     moments = null_moments(cross)
 
-    def folded(bits):  # (z_m, |z_s|, z_g) per swap row; None where degenerate
-        z_m, z_s, z_g = standardize(*_spin_counts(spin, bits), moments)
+    def folded(words, size):  # (z_m, |z_s|, z_g) per swap; None where degenerate
+        z_m, z_s, z_g = standardize(*_swap_counts(cross, words, size), moments)
         return z_m, None if z_s is None else np.abs(z_s), z_g
 
     observed = [
         None if z is None else float(z[0])
-        for z in folded(np.zeros((1, n), dtype=np.uint8))
+        for z in folded(np.zeros((n, 1), dtype=np.uint64), 1)
     ]
     hits = [0, 0, 0]
-    for bits in blocks:
-        for slot, (stat, obs) in enumerate(zip(folded(bits), observed)):
+    for words, size in blocks:
+        for slot, (stat, obs) in enumerate(zip(folded(words, size), observed)):
             if obs is not None:
                 hits[slot] += int(np.count_nonzero(stat > obs if strict else stat >= obs))
     p_m, p_s, p_g = (
@@ -221,9 +316,8 @@ def permutation_pvalues(
 def exhaustive_edge_counts(cross: CrossPairGraph):
     """(r1, r2) for every one of the 2^n swaps, in code order."""
     _require_exact(cross.n_pairs)
-    spin = _spin_form(cross)
     r1, r2 = zip(
-        *(_spin_counts(spin, bits) for bits in _enumerated_flip_chunks(cross.n_pairs))
+        *(_swap_counts(cross, *block) for block in _enumerated_words(cross.n_pairs))
     )
     return np.concatenate(r1), np.concatenate(r2)
 

@@ -9,11 +9,12 @@ count m, its degree vector deg and the signed weight w of each pair-pair
 link, the sum of t_u t_v over the link's edges with side sign t = +1 below
 n and -1 otherwise. ``CrossPairGraph`` contracts its edges to these links
 once, by ``_pair_links``, and keeps the table as ``links``; the moments,
-the diagnostics and the spin form of ``inference`` all read it.
+the diagnostics and the swap counts of ``inference`` all read it.
 
 A swap is a spin vector sigma in {+1, -1}^n with 4 (R1 + R2) = 2m +
-sigma' W sigma, W the symmetric matrix of the link weights
-(``inference._spin_form``), and Var(sigma' W sigma) = 2 |W|_F^2. So with
+2 sum w sigma_pa sigma_pb over the links {pa, pb} (``inference._swap_counts``
+counts it on packed swap bits). The products sigma_pa sigma_pb of distinct
+links are uncorrelated signs, so that sum has variance 4 sum w^2. So with
 q = sum of w^2 over links and s = sum over pairs of (deg(i) - deg(i*))^2,
 the counts R1 (both endpoints labeled 1) and R2 (both labeled 2) satisfy
 

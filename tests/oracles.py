@@ -5,7 +5,8 @@ the library's vectorized machinery: plain loops over all 2^n label swaps,
 Prufer-sequence enumeration of spanning trees, Kruskal passes for the k-MST,
 the k-MST's earlier edge ranking (one key sort over every edge),
 exact rational arithmetic for permutation p-values, a per-edge label gather
-for swap counts, edge-pair key matching for the variance count q, the
+for swap counts, the earlier dense spin form of the swap counts (an n x n
+float pair matrix), edge-pair key matching for the variance count q, the
 pair-of-pairs census of q3 as a loop over edge pairs, the paired-CSV
 reader's earlier cell-by-cell record loop, and the generator's earlier draw
 through the dense 2d x 2d stacked covariance.
@@ -57,6 +58,37 @@ def gather_counts(cross, flips):
     r1 = (lu & lv).sum(axis=1)
     r2 = (~lu & ~lv).sum(axis=1)
     return r1.astype(np.int64), r2.astype(np.int64)
+
+
+def spin_dtype(n_edges):
+    """float32 while 2m <= 2^24, where it counts swaps exactly; else float64."""
+    return np.float32 if 2 * n_edges <= 1 << 24 else np.float64
+
+
+def dense_spin_counts(cross, flips):
+    """(r1, r2) for a batch of swap bit rows, as the package once counted them.
+
+    A bit b_p becomes the spin sigma_p = 1 - 2 b_p, and with W the symmetric
+    n x n matrix of the link weights (zero diagonal)
+
+        2 (R1 - R2) = c' sigma,    4 (R1 + R2) = 2m + sigma' W sigma,
+
+    one mat-vec and one B x n by n x n product. Every partial sum is an
+    integer bounded by 2m, so floats with a 24-bit significand hold it
+    exactly in any summation order while 2m <= 2^24 (``spin_dtype``).
+    """
+    n, m = cross.n_pairs, cross.n_edges
+    dtype = spin_dtype(m)
+    pa, pb, _, w_link = cross.links
+    w = np.zeros((n, n), dtype=dtype)
+    w[pa, pb] = w_link
+    w[pb, pa] = w_link
+    s = np.asarray(flips).astype(dtype)
+    s *= -2
+    s += 1
+    diff = (s @ cross.c.astype(dtype)).astype(np.int64)  # 2 (R1 - R2)
+    total = 2 * m + np.einsum("ij,ij->i", s @ w, s).astype(np.int64)  # 4 (R1 + R2)
+    return (total + 2 * diff) // 8, (total - 2 * diff) // 8
 
 
 def mirror_counts(cross):

@@ -76,6 +76,22 @@ def asymptotic_n1500():
     return run_paired_test(x, y, k=5, pvalue="asymptotic")
 
 
+def exact_n20():
+    # 2^20 swaps: the exact null in many enumeration blocks
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((20, 6))
+    y = 0.8 * x + 0.6 * rng.standard_normal((20, 6)) + 0.3
+    return run_paired_test(x, y, k=3, pvalue="permutation", exact=True, seed=0)
+
+
+def monte_carlo_three_blocks():
+    # 2 * 16384 + 1 swaps: two full Monte Carlo draws and a one-row third
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((50, 8))
+    y = 0.8 * x + 0.78 * rng.standard_normal((50, 8))
+    return run_paired_test(x, y, k=5, pvalue="both", n_perm=2 * 16384 + 1, seed=9)
+
+
 GOLDEN = {
     "monte_carlo_both_json": (
         lambda: report_json(monte_carlo_both()),
@@ -100,6 +116,14 @@ GOLDEN = {
     "asymptotic_n1500_json": (
         lambda: report_json(asymptotic_n1500()),
         "4439665d38e15de6f93f108a5dd19ee76f85473ee75b2e31f4c621e2363356e4",
+    ),
+    "exact_n20_json": (
+        lambda: report_json(exact_n20()),
+        "b5820a677c15b3c162634188917c0a7d6c8bc2a19dd3340f39e0a0e9b4cc351d",
+    ),
+    "monte_carlo_three_blocks_json": (
+        lambda: report_json(monte_carlo_three_blocks()),
+        "a95dd6c40043ff25b79d72f6dbf99ce7b888e80c4f21450eec5eecff9876fbff",
     ),
     "smoke_size_small_csv": (
         lambda: results_to_csv(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pairedgraph import inference
+from pairedgraph import inference, moments
 from pairedgraph import (
     ExactTooLargeError,
     ValidationError,
@@ -24,11 +25,13 @@ from pairedgraph.inference import _chi2_2_sf, _normal_sf
 from pairedgraph.stats import EdgeCounts
 
 from oracles import (
+    dense_spin_counts,
     enumerate_counts,
     exact_pvalues,
     gather_counts,
     mirror_counts,
     random_cross_edges,
+    spin_dtype,
 )
 from test_moments import (
     cross_of,
@@ -300,21 +303,29 @@ def test_statistics_match_manual_standardization():
 
 
 def test_spin_dtype_switches_at_the_exactness_bound():
-    # float32 holds every integer up to 2^24 and loses 2^24 + 1
+    # the dense oracle's float rule: float32 holds every integer up to 2^24
+    # and loses 2^24 + 1
     assert int(np.float32(2**24)) == 2**24
     assert int(np.float32(2**24 + 1)) != 2**24 + 1
-    assert inference._spin_dtype(0) is np.float32
-    assert inference._spin_dtype(2**23) is np.float32
-    assert inference._spin_dtype(2**23 + 1) is np.float64
+    assert spin_dtype(0) is np.float32
+    assert spin_dtype(2**23) is np.float32
+    assert spin_dtype(2**23 + 1) is np.float64
+
+
+def unpacked(words, size):
+    """(size, n) uint8 swap bit rows of pairs-major packed words."""
+    bits = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(bits, axis=1, count=size, bitorder="little").T
 
 
 def assert_counts_match_gather(cross):
     n = cross.n_pairs
     bits = np.random.default_rng(n).integers(0, 2, size=(257, n), dtype=np.uint8)
-    got = inference._spin_counts(inference._spin_form(cross), bits)
-    for g, w in zip(got, gather_counts(cross, bits)):
+    got = inference._swap_counts(cross, inference._packed(bits), 257)
+    for g, w, d in zip(got, gather_counts(cross, bits), dense_spin_counts(cross, bits)):
         assert g.dtype == np.int64
         np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(g, d)
     if n <= 10:
         codes = np.arange(1 << n)[:, None]
         table = gather_counts(cross, (codes >> np.arange(n)) & 1)
@@ -337,26 +348,126 @@ def test_spin_counts_match_gather_on_hypothesis_edge_sets(data):
 
 
 def test_spin_form_carries_the_null_moments():
-    # |W|_F^2 / 2 = m + 2 c1 - 2 c2 = q and |c|^2 = s, so Var(R1 + R2) = q / 4
-    # and Var(R1 - R2) = s / 4 read off the spin form; c1 and c2 come from the
-    # edge-pair key matching oracle, which shares no code with the spin form
+    # over the link table, w'w = m + 2 c1 - 2 c2 = q and c'c = s, so
+    # Var(R1 + R2) = q / 4 and Var(R1 - R2) = s / 4 read off the spin form;
+    # c1 and c2 come from the edge-pair key matching oracle, which never
+    # contracts pairs
     rng = np.random.default_rng(29)
     for _ in range(300):
         n = int(rng.integers(1, 13))
         cross = cross_of(inference._random_cross_pair_edges(rng, n), n)
-        c, w, m = inference._spin_form(cross)
+        pa, pb, mult, w = cross.links
         c1, c2 = mirror_counts(cross)
         diff = cross.deg[:n] - cross.deg[n:]
-        assert m == cross.n_edges
-        assert int((w.astype(np.int64) ** 2).sum()) == 2 * (m + 2 * c1 - 2 * c2)
-        assert int(c.astype(np.int64) @ c.astype(np.int64)) == int(diff @ diff)
+        assert int(mult.sum()) == cross.n_edges
+        assert (pa < pb).all()
+        assert int(w @ w) == cross.n_edges + 2 * c1 - 2 * c2
+        assert int(cross.c @ cross.c) == int(diff @ diff)
 
 
-def shifted_kmst(n):
+def shifted_kmst(n, k=3):
     rng = np.random.default_rng(41)
     x = rng.standard_normal((n, 3))
     y = 0.5 * x + rng.standard_normal((n, 3)) + 0.4
-    return extract_cross_pair_graph(build_kmst(distance_matrix(np.vstack([x, y])), 3))
+    return extract_cross_pair_graph(build_kmst(distance_matrix(np.vstack([x, y])), k))
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 257, 2 * inference._CHUNK + 1])
+def test_padding_bits_are_never_counted(size):
+    cross = shifted_kmst(30)
+    bits = np.random.default_rng(size).integers(0, 2, size=(size, 30), dtype=np.uint8)
+    words = inference._packed(bits)
+    assert words.shape == (30, -(-size // 64))
+    np.testing.assert_array_equal(unpacked(words, size), bits)
+    padding = np.packbits(np.arange(64 * words.shape[1]) >= size, bitorder="little")
+    assert not (words & padding.view("<u8")).any()
+    # fill every padding bit, and one more word of them, with ones
+    garbage = np.hstack([words | padding.view("<u8"), np.full((30, 1), inference._ONES)])
+    got = inference._swap_counts(cross, garbage, size)
+    for g, w in zip(got, gather_counts(cross, bits)):
+        assert g.shape == (size,)
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 5, 1000])
+def test_column_counts_match_unpacked_bits(n_rows):
+    rng = np.random.default_rng(n_rows)
+    rows = rng.integers(0, 1 << 63, size=(n_rows, 3), dtype=np.uint64)
+    rows[: n_rows // 2] |= inference._ONES << np.uint64(63)  # set the top bits too
+    want = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").sum(axis=0)
+    planes = inference._count_planes(rows)
+    assert len(planes) <= n_rows.bit_length()
+    np.testing.assert_array_equal(inference._unsliced(planes, 192), want)
+    weights = rng.integers(-40, 41, size=n_rows)
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").astype(np.int64)
+    got = inference._weighted_bit_sums(lambda i: rows[i], weights, 150)
+    np.testing.assert_array_equal(got, (weights @ bits)[:150])
+
+
+def hub_graph(n=40):
+    """Pair 0 linked to every other pair by repeated edges, so the links carry
+    negative and large weights and c_0 is large; built without the graph
+    layer, which refuses duplicate edges."""
+    rng = np.random.default_rng(43)
+    edges = []
+    for j in range(1, n):
+        for u, v, top in ((0, j, 3 * j), (0, j + n, 3 * j), (n, j + n, j), (n, j, j)):
+            edges += [(u, v)] * int(rng.integers(0, top))
+        edges.append((j, (j + 1) % n + n))  # a ring keeps the other pairs busy
+    edges = np.array(edges, dtype=np.int64)
+    edges.sort(axis=1)
+    return moments.CrossPairGraph(edges=edges, deg=np.bincount(edges.ravel(), minlength=2 * n))
+
+
+def test_hub_graph_counts_exercise_every_magnitude_bit():
+    cross = hub_graph()
+    # negative weights, and magnitudes past 2^6 and 2^10: at least 7 and 11
+    # magnitude bits, each counted on its own rows and shifted into the sum
+    for weights, bits in ((cross.links[3], 7), (cross.c, 11)):
+        assert (weights < 0).any()
+        assert int(np.abs(weights).max()).bit_length() >= bits
+    assert_counts_match_gather(cross)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
+def test_enumerated_words_follow_code_order(n):
+    # n = 16 spans two enumeration blocks
+    blocks = list(inference._enumerated_words(n))
+    sizes = [size for _, size in blocks]
+    assert sum(sizes) == 1 << n
+    assert all(size == inference._ENUMERATED_CHUNK for size in sizes[:-1])
+    assert (len(blocks) > 1) == (n == 16)
+    codes = np.arange(1 << n)[:, None]
+    want = ((codes >> np.arange(n)) & 1).astype(np.uint8)
+    got = np.concatenate([unpacked(words, size) for words, size in blocks])
+    np.testing.assert_array_equal(got, want)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_swap_null_memory_stays_near_the_draw():
+    # A Monte Carlo block packs its B x n uint8 draw into B n / 8 bytes of
+    # words and drops it. Counting gathers the link and pair rows, about
+    # (links + n) B / 8 bytes (1.4 B n here, 9.5 links a pair), the adder
+    # tree's first level takes as much again, and ten or so B-long int64 and
+    # float64 arrays hold the counts and statistics (0.3 B n). That comes to
+    # about 3.5 B n (3.8 B n measured); the dense spin form took 9.2 B n.
+    n, n_perm = 300, 10_000
+    cross = shifted_kmst(n, k=5)
+    peak = traced_peak(lambda: permutation_pvalues(cross, n_perm=n_perm, seed=1))
+    assert peak < 5 * n_perm * n
+    # enumeration has no draw: its blocks of 2^15 swaps need about 75 bytes
+    # a swap, and the dense form needed 3.4 MB at n = 20
+    cross = shifted_kmst(20, k=5)
+    peak = traced_peak(lambda: permutation_pvalues(cross, mode="exact"))
+    assert peak < 100 * inference._ENUMERATED_CHUNK
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -370,8 +481,11 @@ def shifted_kmst(n):
 def test_pvalues_byte_equal_to_gather_path(monkeypatch, n, kwargs, strict):
     cross = shifted_kmst(n)
     spin = permutation_pvalues(cross, strict=strict, **kwargs)
-    monkeypatch.setattr(inference, "_spin_form", lambda cross: cross)
-    monkeypatch.setattr(inference, "_spin_counts", gather_counts)
-    gather = permutation_pvalues(cross, strict=strict, **kwargs)
-    assert repr(spin) == repr(gather)
+    for oracle in (gather_counts, dense_spin_counts):
+        monkeypatch.setattr(
+            inference,
+            "_swap_counts",
+            lambda cross, words, size: oracle(cross, unpacked(words, size)),
+        )
+        assert repr(permutation_pvalues(cross, strict=strict, **kwargs)) == repr(spin)
     assert 0 < spin.p_g_perm < 1
