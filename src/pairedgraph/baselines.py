@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import fdtrc, stdtr
 
 from .core import PairedSample, ValidationError
 
@@ -68,7 +68,9 @@ def hotelling_paired(sample: PairedSample) -> HotellingReport:
         )
     t2 = float(n * dbar @ np.linalg.solve(cov, dbar))
     f_stat = t2 * (n - d) / (d * (n - 1))
-    p = float(sps.f.sf(f_stat, d, n - d))
+    # fdtrc and stdtr are the ufuncs behind scipy.stats' f.sf and t.sf; fdtrc
+    # is NaN below the support, where the survival function is 1
+    p = float(fdtrc(d, n - d, f_stat)) if f_stat > 0 else 1.0
     return HotellingReport(t2=t2, f_stat=float(f_stat), df1=d, df2=n - d, p=p)
 
 
@@ -89,7 +91,7 @@ def paired_t_test(x, y) -> tuple[float, float]:
             return 0.0, 1.0
         raise ZeroVarianceError("differences are constant and nonzero")
     t = float(diffs.mean() / (sd / np.sqrt(diffs.size)))
-    p = float(2.0 * sps.t.sf(abs(t), diffs.size - 1))
+    p = float(2.0 * stdtr(diffs.size - 1, -abs(t)))
     return t, p
 
 

@@ -23,6 +23,12 @@ the counts R1 (both endpoints labeled 1) and R2 (both labeled 2) satisfy
     Cov(R1, R2)       = (q - s) / 16
     Var(R1 + R2) = q / 4        Var(R1 - R2) = s / 4
 
+The normal-approximation diagnostic sum_ab is evaluated on the same
+pair-nodes, one link at a time: C is the closed pair adjacency, W the link
+multiplicities and M = C W (n x n, built once), and each link {a, b} reads
+M and W only on N[b] and on the common closed neighbours N[a] & N[b]
+(``condition_diagnostics``), never an indicator over all n pair-nodes.
+
 All counting is done in 64-bit integers; floats appear only in the final
 division, so every moment is an exact binary fraction.
 """
@@ -60,11 +66,31 @@ class CrossPairGraph:
     s: int = field(init=False)  # c'c
 
     def __post_init__(self) -> None:
-        n = self.n_pairs
-        links = _pair_links(self.edges, n)
-        c = self.deg[:n] - self.deg[n:]
-        for arr in (self.edges, self.deg, *links, c):
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        deg = np.asarray(self.deg, dtype=np.int64).reshape(-1)
+        n_nodes = deg.size
+        if n_nodes < 2 or n_nodes % 2:
+            raise ValidationError(
+                f"graph has {n_nodes} nodes; paired data need an even count of "
+                "at least 2"
+            )
+        u, v = edges[:, 0], edges[:, 1]
+        if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
+            raise ValidationError("edge endpoint out of range")
+        if (u >= v).any():
+            raise ValidationError("every cross-pair edge (u, v) needs u < v")
+        n = n_nodes // 2
+        if (v - u == n).any():
+            raise ValidationError("an edge joins a node to its partner")
+        # duplicate edges are allowed: a multigraph's links just weigh more
+        if not np.array_equal(deg, np.bincount(edges.ravel(), minlength=n_nodes)):
+            raise ValidationError("deg is not the degree vector of the edges")
+        links = _pair_links(edges, n)
+        c = deg[:n] - deg[n:]
+        for arr in (edges, deg, *links, c):
             arr.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "deg", deg)
         object.__setattr__(self, "links", links)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "q", int(links[3] @ links[3]))
@@ -135,11 +161,6 @@ def _pair_id(nodes: np.ndarray, n_pairs: int) -> np.ndarray:
 def extract_cross_pair_graph(graph: SimilarityGraph) -> CrossPairGraph:
     """Drop within-pair edges and compute the node degrees."""
     n_nodes = graph.n_nodes
-    if n_nodes < 2 or n_nodes % 2:
-        raise ValidationError(
-            f"graph has {n_nodes} nodes; paired data need an even count of at "
-            "least 2"
-        )
     edges = graph.edges
     edges = edges[_partner(n_nodes)[edges[:, 0]] != edges[:, 1]]
     deg = np.bincount(edges.ravel(), minlength=n_nodes).astype(np.int64)
@@ -174,25 +195,94 @@ def null_moments(cross: CrossPairGraph) -> NullMoments:
     )
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs start, start + 1, ..., start + length - 1, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive runs of ``values`` with the given lengths."""
+    total = np.r_[0, np.cumsum(values)]
+    return np.diff(total[np.r_[0, np.cumsum(lengths)]])
+
+
+def _table(mat: sp.csr_matrix):
+    """The stored entries of a square CSR matrix as ascending keys
+    row * n + col, closed by the sentinel key n * n, and their values, closed
+    by 0: the sorted table ``_lookup`` searches."""
+    mat.sort_indices()
+    n = mat.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    return np.r_[rows * n + mat.indices, n * n], np.r_[mat.data, 0]
+
+
+def _lookup(table, query: np.ndarray) -> np.ndarray:
+    """The value stored at every query key of a ``_table``; 0 where none is."""
+    keys, values = table
+    pos = np.searchsorted(keys, query)
+    return np.where(keys[pos] == query, values[pos], 0)
+
+
 def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
     """Pair-neighborhood sizes and the two variance numerators.
 
-    With pairs contracted to pair-nodes (``cross.links``), W the symmetric
-    link multiplicity matrix and dp = W 1: |A_e| = dp[pa] + dp[pb] - W[pa, pb]
-    and |B_e| = X dp - X W X' / 2, X the indicator row of N[pa] | N[pb]. Each
-    link {pa, pb} is evaluated once, weighted by W[pa, pb]; all in int64.
+    Pairs are contracted to pair-nodes (``cross.links``): C is the closed
+    pair adjacency, W the symmetric link multiplicity matrix, dp = W 1,
+    D = C dp and M = C W, an n x n product built once. A link e = {a, b}
+    covers |A_e| = dp[a] + dp[b] - W[a, b] edges, and |B_e| = u'dp - u'W u / 2
+    with u the indicator of N[a] | N[b]. With I = N[a] & N[b] (it holds a and
+    b) and S[a] the sum of M[a, j] over j in N[a],
+
+        u'dp  = D[a] + D[b] - sum_{t in I} dp[t]
+        u'W u = S[a] + S[b] + 2 sum_{j in N[b]} M[a, j]
+                - 2 sum_{t in I} (M[a, t] + M[b, t]) + sum_{s, t in I} W[s, t],
+
+    so only N[b] (the smaller closed neighborhood of the two) and I x I are
+    expanded per link, never an indicator over all n pair-nodes. Each link is
+    weighted by W[a, b]; every count is int64.
     """
     n, q = cross.n_pairs, cross.q
     pa, pb, w_link, _ = cross.links
-    rows, cols = np.concatenate([pa, pb]), np.concatenate([pb, pa])
-    w = sp.csr_matrix((np.tile(w_link, 2), (rows, cols)), shape=(n, n))
     dp = cross.deg[:n] + cross.deg[n:]
-    closed = (w + sp.identity(n, dtype=np.int64, format="csr")).sign()
-    x = (closed[pa] + closed[pb]).sign()
-    a = dp[pa] + dp[pb] - w_link
-    b = x @ dp - np.asarray(x.multiply(x @ w).sum(axis=1)).ravel() // 2
+    # W with an explicit 0 on the diagonal, so that C shares its structure
+    nodes = np.arange(n)
+    w = sp.csr_matrix(
+        (
+            np.concatenate([w_link, w_link, np.zeros(n, np.int64)]),
+            (np.concatenate([pa, pb, nodes]), np.concatenate([pb, pa, nodes])),
+        ),
+        shape=(n, n),
+    )
+    w_at = _table(w)
+    c_keys = w_at[0]  # C's entries, as keys row * n + col
+    c = sp.csr_matrix((np.ones_like(w.data), w.indices, w.indptr), shape=(n, n))
+    m_at = _table(c @ w)
+    size = np.diff(c.indptr)  # |N[r]|
+    d = c @ dp
+    s = _run_sums(_lookup(m_at, c_keys[:-1]), size)
 
-    sum_ab = int(w_link @ (a * b))
+    a, b = np.where(size[pa] < size[pb], (pb, pa), (pa, pb))
+    link = np.repeat(np.arange(a.size), size[b])
+    j = c.indices[_ranges(c.indptr[b], size[b])]  # N[b] of every link
+    aj = a[link] * n + j
+    m_aj = _lookup(m_at, aj)
+    common = c_keys[np.searchsorted(c_keys, aj)] == aj  # j in I
+    t, owner = j[common], link[common]
+    i_size = np.bincount(owner, minlength=a.size)
+    m_i = m_aj[common] + _lookup(m_at, b[owner] * n + t)
+    reps = i_size[owner]  # each t of I against every member of its I
+    st = np.repeat(t, reps) * n + t[_ranges(np.cumsum(i_size)[owner] - reps, reps)]
+    w_i = _lookup(w_at, st)
+
+    u_dp = d[a] + d[b] - _run_sums(dp[t], i_size)
+    u_w_u = (
+        s[a] + s[b] + 2 * _run_sums(m_aj, size[b]) - 2 * _run_sums(m_i, i_size)
+        + _run_sums(w_i, i_size * i_size)
+    )
+    sizes_a = dp[pa] + dp[pb] - w_link
+    sizes_b = u_dp - u_w_u // 2
+    sum_ab = int(w_link @ (sizes_a * sizes_b))
     ratio = float(sum_ab / q**1.5) if q > 0 else None
     return ConditionDiagnostics(
         sum_ab=sum_ab, sum_degdiff_sq=cross.s, q3=q, ab_ratio=ratio

@@ -7,9 +7,11 @@ the k-MST's earlier edge ranking (one key sort over every edge),
 exact rational arithmetic for permutation p-values, a per-edge label gather
 for swap counts, the earlier dense spin form of the swap counts (an n x n
 float pair matrix), edge-pair key matching for the variance count q, the
-pair-of-pairs census of q3 as a loop over edge pairs, the paired-CSV
-reader's earlier cell-by-cell record loop, and the generator's earlier draw
-through the dense 2d x 2d stacked covariance.
+pair-of-pairs census of q3 as a loop over edge pairs, the condition
+diagnostics' earlier sparse form (an m_links x n neighbourhood indicator
+times the link matrix), the paired-CSV reader's earlier cell-by-cell record
+loop, and the generator's earlier draw through the dense 2d x 2d stacked
+covariance.
 """
 
 import csv
@@ -20,9 +22,15 @@ from io import StringIO
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import squareform
 
-from pairedgraph import DisconnectedError, PairedSample, ValidationError
+from pairedgraph import (
+    ConditionDiagnostics,
+    DisconnectedError,
+    PairedSample,
+    ValidationError,
+)
 from pairedgraph.io import _expected_header, _read_text
 
 
@@ -251,6 +259,31 @@ def brute_sum_ab(cross):
         two_step = np.unique(np.concatenate([neighborhoods[f] for f in hood]))
         sum_ab += hood.size * two_step.size
     return int(sum_ab)
+
+
+def sparse_condition_diagnostics(cross) -> ConditionDiagnostics:
+    """Pair-neighborhood sizes and the two variance numerators.
+
+    With pairs contracted to pair-nodes (``cross.links``), W the symmetric
+    link multiplicity matrix and dp = W 1: |A_e| = dp[pa] + dp[pb] - W[pa, pb]
+    and |B_e| = X dp - X W X' / 2, X the indicator row of N[pa] | N[pb]. Each
+    link {pa, pb} is evaluated once, weighted by W[pa, pb]; all in int64.
+    """
+    n, q = cross.n_pairs, cross.q
+    pa, pb, w_link, _ = cross.links
+    rows, cols = np.concatenate([pa, pb]), np.concatenate([pb, pa])
+    w = sp.csr_matrix((np.tile(w_link, 2), (rows, cols)), shape=(n, n))
+    dp = cross.deg[:n] + cross.deg[n:]
+    closed = (w + sp.identity(n, dtype=np.int64, format="csr")).sign()
+    x = (closed[pa] + closed[pb]).sign()
+    a = dp[pa] + dp[pb] - w_link
+    b = x @ dp - np.asarray(x.multiply(x @ w).sum(axis=1)).ravel() // 2
+
+    sum_ab = int(w_link @ (a * b))
+    ratio = float(sum_ab / q**1.5) if q > 0 else None
+    return ConditionDiagnostics(
+        sum_ab=sum_ab, sum_degdiff_sq=cross.s, q3=q, ab_ratio=ratio
+    )
 
 
 def min_spanning_weight(dist):

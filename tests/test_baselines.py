@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +18,27 @@ from pairedgraph import (
     bonferroni,
     hotelling_paired,
     paired_t_test,
+    write_paired_csv,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs in an interpreter where any import of scipy.stats fails, then hands
+# over to ``python -m pairedgraph`` with the CSV path given as argv[1].
+WITHOUT_SCIPY_STATS = '''
+import runpy, sys
+sys.modules["scipy.stats"] = None
+import numpy as np
+from pairedgraph import paired_t_test, run_paired_test
+rng = np.random.default_rng(0)
+x = rng.standard_normal((30, 3))
+y = x + 0.5 * rng.standard_normal((30, 3)) + 0.2
+report = run_paired_test(x, y, pvalue="both", n_perm=500, baseline_ht=True, seed=0)
+assert 0 < report.hotelling.p < 1
+assert 0 < paired_t_test(x[:, 0], y[:, 0])[1] < 1
+sys.argv = ["pairedgraph", "test", "--input", sys.argv[1], "--baseline-ht"]
+runpy.run_module("pairedgraph", run_name="__main__", alter_sys=True)
+'''
 
 
 def sample_from(rng, n, d, shift=0.0):
@@ -70,7 +95,24 @@ class TestHotelling:
         assert report.df1 == 3
         assert report.df2 == 17
         assert report.f_stat == pytest.approx(report.t2 * 17 / (3 * 19), rel=1e-12)
-        assert report.p == pytest.approx(sps.f.sf(report.f_stat, 3, 17), abs=1e-14)
+        assert report.p == float(sps.f.sf(report.f_stat, 3, 17))
+
+    def test_pvalue_bit_equal_to_scipy_stats(self):
+        rng = np.random.default_rng(7)
+        for n, d, shift in ((12, 1, 0.0), (30, 4, 0.3), (80, 20, 0.1), (200, 50, 0.05)):
+            report = hotelling_paired(sample_from(rng, n, d, shift))
+            assert report.p == float(sps.f.sf(report.f_stat, d, n - d))
+
+    def test_zero_mean_difference_gives_p_one(self):
+        # integer differences whose columns sum to exactly zero: F = 0, where
+        # the F tail area is 1 (scipy.special.fdtrc is NaN below the support)
+        rng = np.random.default_rng(8)
+        half = rng.integers(-5, 6, size=(10, 3)).astype(float)
+        diffs = np.vstack([half, -half])
+        y = rng.integers(-50, 51, size=(20, 3)).astype(float)
+        report = hotelling_paired(PairedSample(x=y + diffs, y=y))
+        assert report.f_stat == 0.0
+        assert report.p == 1.0 == float(sps.f.sf(0.0, 3, 17))
 
 
 class TestPairedT:
@@ -82,7 +124,7 @@ class TestPairedT:
         # differences (1, 3): mean 2, sd sqrt(2), t = 2, df = 1
         t, p = paired_t_test([1.0, 3.0], [0.0, 0.0])
         assert t == pytest.approx(2.0, rel=1e-14)
-        assert p == pytest.approx(2 * sps.t.sf(2.0, 1), abs=1e-14)
+        assert p == float(2.0 * sps.t.sf(2.0, 1))
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(6)
@@ -92,6 +134,14 @@ class TestPairedT:
         ref = sps.ttest_rel(x, y)
         assert t == pytest.approx(ref.statistic, abs=1e-8)
         assert p == pytest.approx(ref.pvalue, abs=1e-8)
+
+    def test_pvalue_bit_equal_to_scipy_stats(self):
+        rng = np.random.default_rng(9)
+        for size in (2, 3, 10, 101, 5000):
+            for shift in (0.0, 0.2, 3.0):
+                x = rng.standard_normal(size)
+                t, p = paired_t_test(x + shift, x * 0.5)
+                assert p == float(2.0 * sps.t.sf(abs(t), size - 1))
 
     def test_constant_nonzero_differences(self):
         with pytest.raises(ZeroVarianceError):
@@ -128,3 +178,22 @@ class TestBonferroni:
         rejected = bonferroni(pvals, alpha)
         threshold = alpha / len(pvals)
         assert rejected.tolist() == [p <= threshold for p in pvals]
+
+
+def test_package_runs_without_scipy_stats(tmp_path):
+    # scipy.stats costs about a third of the process; the tail areas come
+    # from the scipy.special ufuncs behind it
+    rng = np.random.default_rng(1)
+    x, y = rng.standard_normal((2, 12, 2))
+    path = tmp_path / "pairs.csv"
+    write_paired_csv(PairedSample(x=x, y=y), path)
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY_STATS, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"hotelling":{"df1":2,"df2":10' in proc.stdout

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pairedgraph import inference, moments
+from pairedgraph import inference
 from pairedgraph import (
     ExactTooLargeError,
     ValidationError,
@@ -38,8 +37,10 @@ from test_moments import (
     dense_multigraphs,
     draw_edge_set,
     empty_and_one_pair_graphs,
+    hub_graph,
     random_pair_graphs,
     tie_heavy_kmsts,
+    traced_peak,
 )
 
 
@@ -404,21 +405,6 @@ def test_column_counts_match_unpacked_bits(n_rows):
     np.testing.assert_array_equal(got, (weights @ bits)[:150])
 
 
-def hub_graph(n=40):
-    """Pair 0 linked to every other pair by repeated edges, so the links carry
-    negative and large weights and c_0 is large; built without the graph
-    layer, which refuses duplicate edges."""
-    rng = np.random.default_rng(43)
-    edges = []
-    for j in range(1, n):
-        for u, v, top in ((0, j, 3 * j), (0, j + n, 3 * j), (n, j + n, j), (n, j, j)):
-            edges += [(u, v)] * int(rng.integers(0, top))
-        edges.append((j, (j + 1) % n + n))  # a ring keeps the other pairs busy
-    edges = np.array(edges, dtype=np.int64)
-    edges.sort(axis=1)
-    return moments.CrossPairGraph(edges=edges, deg=np.bincount(edges.ravel(), minlength=2 * n))
-
-
 def test_hub_graph_counts_exercise_every_magnitude_bit():
     cross = hub_graph()
     # negative weights, and magnitudes past 2^6 and 2^10: at least 7 and 11
@@ -441,15 +427,6 @@ def test_enumerated_words_follow_code_order(n):
     want = ((codes >> np.arange(n)) & 1).astype(np.uint8)
     got = np.concatenate([unpacked(words, size) for words, size in blocks])
     np.testing.assert_array_equal(got, want)
-
-
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_swap_null_memory_stays_near_the_draw():

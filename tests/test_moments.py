@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,6 +29,7 @@ from oracles import (
     enumerate_counts,
     mirror_counts,
     random_cross_edges,
+    sparse_condition_diagnostics,
 )
 
 # Worked examples on n = 2 pairs (nodes 0..3, partners 0<->2, 1<->3).
@@ -210,6 +213,37 @@ def empty_and_one_pair_graphs():
         yield cross
 
 
+def hub_graph(n=40):
+    """Pair 0 linked to every other pair by repeated edges, so the links carry
+    negative and large weights and c_0 is large; built without the graph
+    layer, which refuses duplicate edges."""
+    rng = np.random.default_rng(43)
+    edges = []
+    for j in range(1, n):
+        for u, v, top in ((0, j, 3 * j), (0, j + n, 3 * j), (n, j + n, j), (n, j, j)):
+            edges += [(u, v)] * int(rng.integers(0, top))
+        edges.append((j, (j + 1) % n + n))  # a ring keeps the other pairs busy
+    edges = np.array(edges, dtype=np.int64)
+    edges.sort(axis=1)
+    return moments.CrossPairGraph(edges=edges, deg=np.bincount(edges.ravel(), minlength=2 * n))
+
+
+def kmst_cross(n, k=5, d=20):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((n, d))
+    y = 0.8 * x + 0.6 * rng.standard_normal((n, d))
+    return extract_cross_pair_graph(build_kmst(distance_matrix(np.vstack([x, y])), k))
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def draw_edge_set(data):
     """A hypothesis-drawn subset of all node pairs on 1..7 pairs, as a cross graph."""
     n = data.draw(st.integers(min_value=1, max_value=7))
@@ -264,6 +298,39 @@ def test_diagnostics_match_oracle_on_empty_and_one_pair_graphs():
 @given(st.data())
 def test_diagnostics_match_oracle_on_hypothesis_edge_sets(data):
     assert_diagnostics_match_oracle(draw_edge_set(data))
+
+
+def assert_diagnostics_match_sparse_form(cross):
+    got, want = condition_diagnostics(cross), sparse_condition_diagnostics(cross)
+    assert got == want
+    assert repr(got.ab_ratio) == repr(want.ab_ratio)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        random_pair_graphs,
+        dense_multigraphs,
+        tie_heavy_kmsts,
+        empty_and_one_pair_graphs,
+        lambda: [hub_graph()],
+        lambda: [kmst_cross(300), kmst_cross(1000)],
+    ],
+    ids=["random", "dense", "tie-heavy", "empty", "hub", "kmst-300-1000"],
+)
+def test_diagnostics_equal_the_sparse_form(family):
+    for cross in family():
+        assert_diagnostics_match_sparse_form(cross)
+
+
+def test_diagnostics_memory_at_most_half_the_sparse_form():
+    # The sparse form multiplies an m_links x n indicator of N[a] | N[b] by
+    # W (70 MB traced at n = 1000); per pair-node only N[b] and I x I are
+    # expanded per link, next to the n x n product M = C W (15 MB).
+    cross = kmst_cross(1000)
+    new = traced_peak(lambda: condition_diagnostics(cross))
+    old = traced_peak(lambda: sparse_condition_diagnostics(cross))
+    assert new <= old / 2
 
 
 @pytest.mark.slow
@@ -362,6 +429,40 @@ def test_extract_rejects_mismatched_sizes():
     # a single node cannot hold one pair
     with pytest.raises(ValidationError, match="least 2"):
         extract_cross_pair_graph(SimilarityGraph(np.empty((0, 2)), 1))
+
+
+def test_cross_pair_graph_refuses_a_partner_edge():
+    # a partner edge would become a link of pair 0 with itself: E(R1) = 0.25
+    # although R1 = R2 = 0 under every swap
+    with pytest.raises(ValidationError, match="partner"):
+        moments.CrossPairGraph(edges=[[0, 2]], deg=[1, 0, 1, 0])
+    with pytest.raises(ValidationError, match="partner"):
+        moments.CrossPairGraph(edges=[[0, 1], [1, 4]], deg=[1, 2, 0, 0, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "edges, deg, match",
+    [
+        ([[1, 0]], [1, 1, 0, 0], "u < v"),
+        ([[0, 1], [2, 2]], [1, 1, 2, 0], "u < v"),
+        ([[0, 4]], [1, 0, 0, 0, 1], "even"),
+        ([[0, 4]], [1, 0, 0, 0], "out of range"),
+        ([[-1, 1]], [0, 1, 0, 0], "out of range"),
+        ([[0, 1]], [1, 0, 0, 0], "degree"),
+        ([[0, 1]], [1, 1, 0, 0, 1, 0], "degree"),
+        ([[0, 1], [0, 1]], [1, 1, 0, 0], "degree"),
+        ([], [0], "even"),
+    ],
+)
+def test_cross_pair_graph_validates_its_input(edges, deg, match):
+    with pytest.raises(ValidationError, match=match):
+        moments.CrossPairGraph(edges=edges, deg=deg)
+
+
+def test_cross_pair_graph_accepts_duplicate_edges():
+    cross = moments.CrossPairGraph(edges=[[0, 1], [0, 1]], deg=[2, 2, 0, 0])
+    assert links_of(cross) == [[0], [1], [2], [2]]
+    assert not cross.edges.flags.writeable and not cross.deg.flags.writeable
 
 
 def test_extract_rejects_odd_node_count():
