@@ -24,10 +24,11 @@ the counts R1 (both endpoints labeled 1) and R2 (both labeled 2) satisfy
     Var(R1 + R2) = q / 4        Var(R1 - R2) = s / 4
 
 The normal-approximation diagnostic sum_ab is evaluated on the same
-pair-nodes, one link at a time: C is the closed pair adjacency, W the link
-multiplicities and M = C W (n x n, built once), and each link {a, b} reads
-M and W only on N[b] and on the common closed neighbours N[a] & N[b]
-(``condition_diagnostics``), never an indicator over all n pair-nodes.
+pair-nodes: C is the closed pair adjacency, W the link multiplicities and
+M = C W (n x n, built once), and each link {a, b} reads M only on N[b] and
+W only on the common closed neighbours N[a] & N[b]
+(``condition_diagnostics``). Links are taken a bounded block at a time, so
+no indicator of N[a] | N[b] over all links is ever built.
 
 All counting is done in 64-bit integers; floats appear only in the final
 division, so every moment is an exact binary fraction.
@@ -35,6 +36,7 @@ division, so every moment is an exact binary fraction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,40 +58,39 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CrossPairGraph:
-    """Cross-pair edges and degrees, with the pair form derived from them once."""
+    """Cross-pair edges on n_pairs pairs, with the degrees and the pair form
+    derived from them once."""
 
     edges: np.ndarray  # (m, 2) int64, u < v, no edge joins a node to its partner
-    deg: np.ndarray  # degree of every pooled node
+    n_pairs: int
+    deg: np.ndarray = field(init=False)  # degree of every pooled node
     links: tuple = field(init=False)  # (pa, pb, mult, w) from _pair_links
     c: np.ndarray = field(init=False)  # deg(p) - deg(p + n) for every pair p
     q: int = field(init=False)  # w'w over the links
     s: int = field(init=False)  # c'c
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        deg = np.asarray(self.deg, dtype=np.int64).reshape(-1)
-        n_nodes = deg.size
-        if n_nodes < 2 or n_nodes % 2:
+        n = operator.index(self.n_pairs)
+        if n < 1:
             raise ValidationError(
-                f"graph has {n_nodes} nodes; paired data need an even count of "
-                "at least 2"
+                f"a cross-pair graph needs at least one pair, got {n}"
             )
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         u, v = edges[:, 0], edges[:, 1]
-        if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
+        if edges.size and (edges.min() < 0 or edges.max() >= 2 * n):
             raise ValidationError("edge endpoint out of range")
         if (u >= v).any():
             raise ValidationError("every cross-pair edge (u, v) needs u < v")
-        n = n_nodes // 2
         if (v - u == n).any():
             raise ValidationError("an edge joins a node to its partner")
         # duplicate edges are allowed: a multigraph's links just weigh more
-        if not np.array_equal(deg, np.bincount(edges.ravel(), minlength=n_nodes)):
-            raise ValidationError("deg is not the degree vector of the edges")
+        deg = np.bincount(edges.ravel(), minlength=2 * n).astype(np.int64)
         links = _pair_links(edges, n)
         c = deg[:n] - deg[n:]
         for arr in (edges, deg, *links, c):
             arr.setflags(write=False)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "n_pairs", n)
         object.__setattr__(self, "deg", deg)
         object.__setattr__(self, "links", links)
         object.__setattr__(self, "c", c)
@@ -102,11 +103,7 @@ class CrossPairGraph:
 
     @property
     def n_nodes(self) -> int:
-        return self.deg.shape[0]
-
-    @property
-    def n_pairs(self) -> int:
-        return self.deg.shape[0] // 2
+        return 2 * self.n_pairs
 
 
 @dataclass(frozen=True)
@@ -159,12 +156,16 @@ def _pair_id(nodes: np.ndarray, n_pairs: int) -> np.ndarray:
 
 
 def extract_cross_pair_graph(graph: SimilarityGraph) -> CrossPairGraph:
-    """Drop within-pair edges and compute the node degrees."""
+    """Drop within-pair edges; the degrees follow from the edges that remain."""
     n_nodes = graph.n_nodes
+    if n_nodes < 2 or n_nodes % 2:
+        raise ValidationError(
+            f"graph has {n_nodes} nodes; paired data need an even count of at "
+            "least 2"
+        )
     edges = graph.edges
     edges = edges[_partner(n_nodes)[edges[:, 0]] != edges[:, 1]]
-    deg = np.bincount(edges.ravel(), minlength=n_nodes).astype(np.int64)
-    return CrossPairGraph(edges=edges, deg=deg)
+    return CrossPairGraph(edges=edges, n_pairs=n_nodes // 2)
 
 
 def _pair_links(edges: np.ndarray, n: int):
@@ -193,6 +194,11 @@ def null_moments(cross: CrossPairGraph) -> NullMoments:
         var_sum=cross.q / 4.0,
         var_diff=cross.s / 4.0,
     )
+
+
+# Links are evaluated in blocks of about this many gathered int64 entries and
+# entries of Y W, so the diagnostics' memory is bounded on dense graphs too.
+_LINK_BUDGET = 1 << 18
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -224,6 +230,14 @@ def _lookup(table, query: np.ndarray) -> np.ndarray:
     return np.where(keys[pos] == query, values[pos], 0)
 
 
+def _blocks(cost: np.ndarray, budget: int):
+    """Consecutive (start, stop) runs of items, each run's cost below budget
+    plus the cost of its last item."""
+    first = np.cumsum(cost) - cost
+    bounds = np.r_[0, np.flatnonzero(np.diff(first // budget)) + 1, cost.size]
+    return zip(bounds[:-1].tolist(), bounds[1:].tolist())
+
+
 def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
     """Pair-neighborhood sizes and the two variance numerators.
 
@@ -238,9 +252,12 @@ def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
         u'W u = S[a] + S[b] + 2 sum_{j in N[b]} M[a, j]
                 - 2 sum_{t in I} (M[a, t] + M[b, t]) + sum_{s, t in I} W[s, t],
 
-    so only N[b] (the smaller closed neighborhood of the two) and I x I are
-    expanded per link, never an indicator over all n pair-nodes. Each link is
-    weighted by W[a, b]; every count is int64.
+    so per link only N[b] (the smaller closed neighborhood of the two) is
+    gathered from M, and the last term is the row sum of Y * (Y W), Y the
+    indicator rows of the sets I. Links are taken in blocks of about
+    ``_LINK_BUDGET`` gathered entries and entries of Y W, so memory stays
+    bounded on dense graphs too. Each link is weighted by W[a, b]; every
+    count is int64.
     """
     n, q = cross.n_pairs, cross.q
     pa, pb, w_link, _ = cross.links
@@ -254,34 +271,38 @@ def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
         ),
         shape=(n, n),
     )
-    w_at = _table(w)
-    c_keys = w_at[0]  # C's entries, as keys row * n + col
     c = sp.csr_matrix((np.ones_like(w.data), w.indices, w.indptr), shape=(n, n))
+    c_keys = _table(c)[0]  # C's entries, as keys row * n + col
     m_at = _table(c @ w)
     size = np.diff(c.indptr)  # |N[r]|
     d = c @ dp
     s = _run_sums(_lookup(m_at, c_keys[:-1]), size)
 
     a, b = np.where(size[pa] < size[pb], (pb, pa), (pa, pb))
-    link = np.repeat(np.arange(a.size), size[b])
-    j = c.indices[_ranges(c.indptr[b], size[b])]  # N[b] of every link
-    aj = a[link] * n + j
-    m_aj = _lookup(m_at, aj)
-    common = c_keys[np.searchsorted(c_keys, aj)] == aj  # j in I
-    t, owner = j[common], link[common]
-    i_size = np.bincount(owner, minlength=a.size)
-    m_i = m_aj[common] + _lookup(m_at, b[owner] * n + t)
-    reps = i_size[owner]  # each t of I against every member of its I
-    st = np.repeat(t, reps) * n + t[_ranges(np.cumsum(i_size)[owner] - reps, reps)]
-    w_i = _lookup(w_at, st)
-
-    u_dp = d[a] + d[b] - _run_sums(dp[t], i_size)
-    u_w_u = (
-        s[a] + s[b] + 2 * _run_sums(m_aj, size[b]) - 2 * _run_sums(m_i, i_size)
-        + _run_sums(w_i, i_size * i_size)
-    )
+    # a row of Y W has at most min(n, sum of |N[t]| over t in N[b]) entries
+    cost = size[b] + np.minimum(c @ size, n)[b]
+    sizes_b = np.empty(a.size, np.int64)
+    for lo, hi in _blocks(cost, _LINK_BUDGET):
+        a_, b_ = a[lo:hi], b[lo:hi]
+        link = np.repeat(np.arange(hi - lo), size[b_])
+        j = c.indices[_ranges(c.indptr[b_], size[b_])]  # N[b] of every link
+        aj = a_[link] * n + j
+        m_aj = _lookup(m_at, aj)
+        common = c_keys[np.searchsorted(c_keys, aj)] == aj  # j in I
+        t, owner = j[common], link[common]
+        i_size = np.bincount(owner, minlength=hi - lo)
+        y = sp.csr_matrix(
+            (np.ones_like(t), t, np.r_[0, np.cumsum(i_size)]), shape=(hi - lo, n)
+        )
+        m_i = m_aj[common] + _lookup(m_at, b_[owner] * n + t)
+        w_ii = np.asarray(y.multiply(y @ w).sum(axis=1)).ravel()  # W over I x I
+        u_dp = d[a_] + d[b_] - y @ dp
+        u_w_u = (
+            s[a_] + s[b_] + 2 * _run_sums(m_aj, size[b_])
+            - 2 * _run_sums(m_i, i_size) + w_ii
+        )
+        sizes_b[lo:hi] = u_dp - u_w_u // 2
     sizes_a = dp[pa] + dp[pb] - w_link
-    sizes_b = u_dp - u_w_u // 2
     sum_ab = int(w_link @ (sizes_a * sizes_b))
     ratio = float(sum_ab / q**1.5) if q > 0 else None
     return ConditionDiagnostics(

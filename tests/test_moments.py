@@ -225,7 +225,7 @@ def hub_graph(n=40):
         edges.append((j, (j + 1) % n + n))  # a ring keeps the other pairs busy
     edges = np.array(edges, dtype=np.int64)
     edges.sort(axis=1)
-    return moments.CrossPairGraph(edges=edges, deg=np.bincount(edges.ravel(), minlength=2 * n))
+    return moments.CrossPairGraph(edges=edges, n_pairs=n)
 
 
 def kmst_cross(n, k=5, d=20):
@@ -325,12 +325,39 @@ def test_diagnostics_equal_the_sparse_form(family):
 
 def test_diagnostics_memory_at_most_half_the_sparse_form():
     # The sparse form multiplies an m_links x n indicator of N[a] | N[b] by
-    # W (70 MB traced at n = 1000); per pair-node only N[b] and I x I are
-    # expanded per link, next to the n x n product M = C W (15 MB).
+    # W (70 MB traced at n = 1000); per pair-node only N[b] and the common
+    # neighbours are expanded, a block of links at a time (7 MB).
     cross = kmst_cross(1000)
     new = traced_peak(lambda: condition_diagnostics(cross))
     old = traced_peak(lambda: sparse_condition_diagnostics(cross))
     assert new <= old / 2
+
+
+def test_diagnostics_memory_on_a_dense_graph():
+    # k = n / 2: every pair-node reaches most others, so the common
+    # neighbourhoods hold dozens of pair-nodes per link. Taken all at once
+    # they would outgrow the sparse form (25 against 20 MB traced); the link
+    # blocks keep the peak near 12 MB.
+    cross = kmst_cross(100, k=50)
+    assert_diagnostics_match_sparse_form(cross)
+    new = traced_peak(lambda: condition_diagnostics(cross))
+    old = traced_peak(lambda: sparse_condition_diagnostics(cross))
+    assert new <= 0.8 * old
+
+
+@pytest.mark.parametrize("budget", [1, 40])
+def test_diagnostics_do_not_depend_on_the_link_blocks(monkeypatch, budget):
+    # budget 1 puts every link in a block of its own
+    monkeypatch.setattr(moments, "_LINK_BUDGET", budget)
+    for family in (random_pair_graphs, dense_multigraphs, tie_heavy_kmsts,
+                   empty_and_one_pair_graphs, lambda: [hub_graph()]):
+        for cross in family():
+            assert_diagnostics_match_sparse_form(cross)
+
+
+def test_diagnostics_in_blocks_at_a_benchmark_size(monkeypatch):
+    monkeypatch.setattr(moments, "_LINK_BUDGET", 1 << 12)
+    assert_diagnostics_match_sparse_form(kmst_cross(300))
 
 
 @pytest.mark.slow
@@ -435,32 +462,35 @@ def test_cross_pair_graph_refuses_a_partner_edge():
     # a partner edge would become a link of pair 0 with itself: E(R1) = 0.25
     # although R1 = R2 = 0 under every swap
     with pytest.raises(ValidationError, match="partner"):
-        moments.CrossPairGraph(edges=[[0, 2]], deg=[1, 0, 1, 0])
+        moments.CrossPairGraph(edges=[[0, 2]], n_pairs=2)
     with pytest.raises(ValidationError, match="partner"):
-        moments.CrossPairGraph(edges=[[0, 1], [1, 4]], deg=[1, 2, 0, 0, 1, 0])
+        moments.CrossPairGraph(edges=[[0, 1], [1, 4]], n_pairs=3)
 
 
 @pytest.mark.parametrize(
-    "edges, deg, match",
+    "edges, n_pairs, match",
     [
-        ([[1, 0]], [1, 1, 0, 0], "u < v"),
-        ([[0, 1], [2, 2]], [1, 1, 2, 0], "u < v"),
-        ([[0, 4]], [1, 0, 0, 0, 1], "even"),
-        ([[0, 4]], [1, 0, 0, 0], "out of range"),
-        ([[-1, 1]], [0, 1, 0, 0], "out of range"),
-        ([[0, 1]], [1, 0, 0, 0], "degree"),
-        ([[0, 1]], [1, 1, 0, 0, 1, 0], "degree"),
-        ([[0, 1], [0, 1]], [1, 1, 0, 0], "degree"),
-        ([], [0], "even"),
+        ([[1, 0]], 2, "u < v"),
+        ([[0, 1], [2, 2]], 2, "u < v"),
+        ([[0, 4]], 2, "out of range"),
+        ([[-1, 1]], 2, "out of range"),
+        ([], 0, "at least one pair"),
     ],
 )
-def test_cross_pair_graph_validates_its_input(edges, deg, match):
+def test_cross_pair_graph_validates_its_input(edges, n_pairs, match):
     with pytest.raises(ValidationError, match=match):
-        moments.CrossPairGraph(edges=edges, deg=deg)
+        moments.CrossPairGraph(edges=edges, n_pairs=n_pairs)
+
+
+def test_cross_pair_graph_derives_its_degrees():
+    cross = moments.CrossPairGraph(edges=[[0, 1], [0, 1], [1, 2]], n_pairs=3)
+    assert cross.deg.tolist() == [2, 3, 1, 0, 0, 0]
+    assert cross.deg.dtype == np.int64 and cross.n_nodes == 6
+    assert moments.CrossPairGraph(edges=[], n_pairs=1).deg.tolist() == [0, 0]
 
 
 def test_cross_pair_graph_accepts_duplicate_edges():
-    cross = moments.CrossPairGraph(edges=[[0, 1], [0, 1]], deg=[2, 2, 0, 0])
+    cross = moments.CrossPairGraph(edges=[[0, 1], [0, 1]], n_pairs=2)
     assert links_of(cross) == [[0], [1], [2], [2]]
     assert not cross.edges.flags.writeable and not cross.deg.flags.writeable
 
