@@ -143,6 +143,19 @@ def _edge_order(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, w
 
 
+def _checked_k(k, n_nodes: int) -> int:
+    """k as an int, refused unless 1 <= k <= floor(N/2) for N = ``n_nodes``."""
+    if int(k) != k or k < 1:
+        raise ValidationError(f"k must be a positive integer, got {k!r}")
+    k = int(k)
+    if k > n_nodes // 2:
+        raise ValidationError(
+            f"k={k} exceeds floor(N/2)={n_nodes // 2}: the complete graph on "
+            f"{n_nodes} nodes cannot hold {k} edge-disjoint spanning trees"
+        )
+    return k
+
+
 def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
     """Union of k successive edge-disjoint minimum spanning trees.
 
@@ -152,15 +165,8 @@ def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
     used edge gets the rank ``gone`` = N(N-1)/2, above every real edge. Raises
     DisconnectedError at the first level that cannot span.
     """
-    if int(k) != k or k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k!r}")
-    k = int(k)
     n = dist.n_nodes
-    if k > n // 2:
-        raise ValidationError(
-            f"k={k} exceeds floor(N/2)={n // 2}: the complete graph on {n} "
-            f"nodes cannot hold {k} edge-disjoint spanning trees"
-        )
+    k = _checked_k(k, n)
     gone = n * (n - 1) // 2
     if gone * gone > _KEY_MAX:
         raise ValidationError(f"N={n} nodes overflow the k-MST's int64 sort keys")

@@ -130,6 +130,8 @@ def run_paired_test(
         raise ValidationError("need at least 2 pairs to run a test")
     if seed is None and pvalue != "asymptotic":
         seed = secrets.randbits(63)
+    # Hotelling draws nothing, so running it first lets d >= n fail before the graph
+    hotelling = hotelling_paired(sample) if baseline_ht else None
 
     if distances is not None:
         if distances.n_nodes != 2 * sample.n:
@@ -161,8 +163,6 @@ def run_paired_test(
             p_s_asym=asym.p_s_asym,
             p_g_asym=asym.p_g_asym,
         )
-
-    hotelling = hotelling_paired(sample) if baseline_ht else None
 
     return TestReport(
         n=sample.n,

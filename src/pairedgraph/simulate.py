@@ -9,8 +9,12 @@ its block scales and keeps the factor when it is built, and a draw combines
 the two halves of one n x 2d standard normal matrix by that factor. The t3
 sampler is scaled so its *variance* (not its scale matrix) equals the
 covariance.
-Replicate r uses the independent stream default_rng([seed, r]), so results
-do not depend on evaluation order.
+
+A study is a ``Scenario``: its spec, mode, k, replicate count, seed and
+levels, all checked when it is built, so a bad study fails before its first
+replicate. ``run_size_study``, ``run_power_study`` and ``load_scenario`` each
+build one, and ``run_scenario`` runs it. Replicate r uses the independent
+stream default_rng([seed, r]), so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .baselines import SingularCovarianceError, hotelling_paired
 from .core import FLOAT_FORMAT, PairedSample, ValidationError, _readonly, pool
-from .graph import distance_matrix
+from .graph import _checked_k, distance_matrix
 from .inference import asymptotic_pvalues
 from .io import _lines, _read_text
 from .stats import graph_test
@@ -203,36 +207,63 @@ class StudyResult:
         return tuple(sorted(self.rejections))
 
 
-def _run_study(
-    spec: GeneratorSpec,
-    replicates: int,
-    k: int,
-    seed: int,
-    levels,
-    mode: str,
-    scenario: str,
-) -> StudyResult:
-    if replicates < 1:
-        raise ValidationError("replicate count must be positive")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    levels = tuple(sorted(float(a) for a in levels))
-    if not levels or any(not 0 < a <= 1 for a in levels):
-        raise ValidationError("levels must lie in (0, 1]")
-    with_hotelling = mode == "power" and spec.d < spec.n
+@dataclass(frozen=True)
+class Scenario:
+    """One size or power study, checked when it is built.
+
+    A size study needs a null ``spec`` (nu1 == nu2, gamma1 == gamma2); k
+    must give a k-MST on the 2n pooled nodes, 1 <= k <= n; ``levels`` are
+    stored sorted and must be distinct and lie in (0, 1].
+    """
+
+    name: str
+    mode: str  # "size" or "power"
+    spec: GeneratorSpec
+    k: int = 5
+    replicates: int = 1000
+    seed: int = 0
+    levels: tuple[float, ...] = (0.05, 0.1)
+
+    def __post_init__(self) -> None:
+        spec = self.spec
+        if self.mode not in ("size", "power"):
+            raise ValidationError("mode must be 'size' or 'power'")
+        if self.mode == "size" and not (
+            np.array_equal(spec.nu1, spec.nu2) and spec.gamma1 == spec.gamma2
+        ):
+            raise ValidationError(
+                "size study needs a null scenario: nu1 == nu2 and gamma1 == gamma2"
+            )
+        if self.replicates < 1:
+            raise ValidationError("replicate count must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        levels = tuple(sorted(float(a) for a in self.levels))
+        if not levels or any(not 0 < a <= 1 for a in levels):
+            raise ValidationError("levels must lie in (0, 1]")
+        if len(set(levels)) < len(levels):
+            raise ValidationError(f"levels must be distinct, got {levels}")
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "k", _checked_k(self.k, 2 * spec.n))
+
+
+def run_scenario(scenario: Scenario) -> StudyResult:
+    """Run the study's replicates; replicate r draws from default_rng([seed, r])."""
+    spec, k, levels = scenario.spec, scenario.k, scenario.levels
+    with_hotelling = scenario.mode == "power" and spec.d < spec.n
     tests = list(GRAPH_TESTS) + (["ht"] if with_hotelling else [])
     rejections = {t: {a: 0 for a in levels} for t in tests}
     valid = {t: 0 for t in tests}
     degenerate = {t: 0 for t in tests}
 
-    for rep in range(replicates):
-        rng = np.random.default_rng([seed, rep])
+    for rep in range(scenario.replicates):
+        rng = np.random.default_rng([scenario.seed, rep])
         sample = _generate(spec, rng)
         try:
             dist = distance_matrix(pool(sample))
         except ValidationError as exc:
             raise ValidationError(
-                f"scenario {scenario!r} (var1={spec.gamma1:.4g}, "
+                f"scenario {scenario.name!r} (var1={spec.gamma1:.4g}, "
                 f"var2={spec.gamma2:.4g}): {exc}"
             ) from None
         *_, triple = graph_test(dist, k)
@@ -252,10 +283,10 @@ def _run_study(
                 rejections[test][a] += p <= a
 
     return StudyResult(
-        scenario=scenario,
-        mode=mode,
-        replicates=replicates,
-        seed=seed,
+        scenario=scenario.name,
+        mode=scenario.mode,
+        replicates=scenario.replicates,
+        seed=scenario.seed,
         k=k,
         levels=levels,
         rejections=rejections,
@@ -273,11 +304,8 @@ def run_size_study(
     scenario: str = "size",
 ) -> StudyResult:
     """Empirical size: rejection rates of asymptotic p-values under the null."""
-    if not (np.array_equal(spec.nu1, spec.nu2) and spec.gamma1 == spec.gamma2):
-        raise ValidationError(
-            "size study needs a null scenario: nu1 == nu2 and gamma1 == gamma2"
-        )
-    return _run_study(spec, replicates, k, seed, levels, "size", scenario)
+    return run_scenario(Scenario(name=scenario, mode="size", spec=spec, k=k,
+                                 replicates=replicates, seed=seed, levels=levels))
 
 
 def run_power_study(
@@ -289,10 +317,19 @@ def run_power_study(
     scenario: str = "power",
 ) -> StudyResult:
     """Estimated power; includes the Hotelling baseline whenever d < n."""
-    return _run_study(spec, replicates, k, seed, levels, "power", scenario)
+    return run_scenario(Scenario(name=scenario, mode="power", spec=spec, k=k,
+                                 replicates=replicates, seed=seed, levels=levels))
 
 
 # --- scenario files ---------------------------------------------------------
+
+
+def _levels(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ValueError("levels must be comma-separated numbers") from None
+
 
 _SCENARIO_KEYS = {
     "scenario": str,
@@ -307,34 +344,12 @@ _SCENARIO_KEYS = {
     "k": int,
     "replicates": int,
     "seed": int,
-    "levels": str,
+    "levels": _levels,
 }
-
-_SCENARIO_DEFAULTS = {
-    "mean_diff_norm": 0.0,
-    "var1": 1.0,
-    "var2": 1.0,
-    "rho12": 0.6,
-    "k": 5,
-    "replicates": 1000,
-    "seed": 0,
-    "levels": "0.05, 0.1",
-}
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    mode: str
-    spec: GeneratorSpec
-    k: int
-    replicates: int
-    seed: int
-    levels: tuple[float, ...]
 
 
 def load_scenario(path) -> Scenario:
-    """Parse a flat ``key = value`` scenario file."""
+    """Parse and check a flat ``key = value`` scenario file; unset keys keep defaults."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(_lines(_read_text(Path(path))), start=1):
         text = line.split("#", 1)[0].strip()
@@ -349,55 +364,24 @@ def load_scenario(path) -> Scenario:
             raise ValidationError(f"{path}: line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    merged = dict(_SCENARIO_DEFAULTS)
-    merged.update(raw)
     for key in ("scenario", "mode", "family", "n", "d"):
-        if key not in merged:
+        if key not in raw:
             raise ValidationError(f"{path}: missing required key {key!r}")
     try:
-        values = {key: _SCENARIO_KEYS[key](val) for key, val in merged.items()}
+        values = {key: _SCENARIO_KEYS[key](val) for key, val in raw.items()}
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    if values["mode"] not in ("size", "power"):
-        raise ValidationError(f"{path}: mode must be 'size' or 'power'")
-    try:
-        levels = tuple(float(tok) for tok in values["levels"].split(",") if tok.strip())
-    except ValueError:
-        raise ValidationError(f"{path}: levels must be comma-separated numbers") from None
-
     try:
         spec = scalar_block_spec(
-            values["family"],
-            values["n"],
-            values["d"],
-            mean_diff_norm=values["mean_diff_norm"],
-            var1=values["var1"],
-            var2=values["var2"],
-            rho12=values["rho12"],
+            values.pop("family"),
+            values.pop("n"),
+            values.pop("d"),
+            **{key: values.pop(key) for key in ("mean_diff_norm", "var1", "var2", "rho12")
+               if key in values},
         )
+        return Scenario(name=values.pop("scenario"), spec=spec, **values)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    return Scenario(
-        name=values["scenario"],
-        mode=values["mode"],
-        spec=spec,
-        k=values["k"],
-        replicates=values["replicates"],
-        seed=values["seed"],
-        levels=levels,
-    )
-
-
-def run_scenario(scenario: Scenario) -> StudyResult:
-    runner = run_size_study if scenario.mode == "size" else run_power_study
-    return runner(
-        scenario.spec,
-        replicates=scenario.replicates,
-        k=scenario.k,
-        seed=scenario.seed,
-        levels=scenario.levels,
-        scenario=scenario.name,
-    )
 
 
 def results_to_csv(results) -> str:

@@ -18,8 +18,10 @@ from pairedgraph import (
     bonferroni,
     hotelling_paired,
     paired_t_test,
+    run_paired_test,
     write_paired_csv,
 )
+from pairedgraph import report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -68,6 +70,15 @@ class TestHotelling:
             hotelling_paired(sample_from(rng, 60, 100))
         with pytest.raises(DimensionError):
             hotelling_paired(sample_from(rng, 5, 5))
+
+    def test_run_paired_test_checks_hotelling_before_the_graph(self, monkeypatch):
+        def no_graph(*args):
+            pytest.fail("the graph test ran before Hotelling's T2 was checked")
+
+        monkeypatch.setattr(report, "graph_test", no_graph)
+        sample = sample_from(np.random.default_rng(2), 8, 8)
+        with pytest.raises(DimensionError):
+            run_paired_test(sample.x, sample.y, pvalue="both", baseline_ht=True, seed=0)
 
     def test_singular_covariance(self):
         rng = np.random.default_rng(3)

@@ -220,6 +220,13 @@ def test_size_study_requires_null_spec():
         run_size_study(spec, replicates=5, k=1, seed=0)
 
 
+def test_repeated_levels_are_refused():
+    spec = scalar_block_spec("normal", 10, 2)
+    for run in (run_size_study, run_power_study):
+        with pytest.raises(ValidationError, match="levels must be distinct"):
+            run(spec, replicates=5, k=2, levels=(0.1, 0.1))
+
+
 def test_size_study_level_one_rejects_everything():
     spec = scalar_block_spec("normal", 12, 2)
     result = run_size_study(spec, replicates=30, k=2, seed=0, levels=(1.0,))
@@ -324,8 +331,8 @@ def test_scenario_file_errors(tmp_path):
     zero_reps.write_text(
         "scenario = x\nmode = size\nfamily = normal\nn = 5\nd = 2\nreplicates = 0\n"
     )
-    with pytest.raises(ValidationError, match="replicate"):
-        run_scenario(load_scenario(zero_reps))
+    with pytest.raises(ValidationError, match="zero.cfg: replicate count must be positive"):
+        load_scenario(zero_reps)
 
     missing = tmp_path / "missing.cfg"
     missing.write_text("scenario = x\nmode = size\nfamily = normal\nn = 5\n")
@@ -339,20 +346,26 @@ def test_scenario_file_errors(tmp_path):
         load_scenario(not_psd)
 
 
-@pytest.mark.parametrize("bad", ["rho12 = 1.2\n", "wat = 1\n"])
+# k = 7 is n + 1; a line whose key the head sets replaces that key's line
+@pytest.mark.parametrize("bad", [
+    "rho12 = 1.2\n", "wat = 1\n", "replicates = 0\n", "seed = -1\n", "levels = 2\n",
+    "k = 0\n", "k = 7\n", "mean_diff_norm = 1\n", "levels = 0.1, 0.05, 0.1\n",
+])
 def test_simulate_checks_every_file_before_any_study(monkeypatch, tmp_path, bad):
-    calls = []
-    run_study = simulate._run_study
-    monkeypatch.setattr(simulate, "_run_study",
-                        lambda *args: calls.append(args) or run_study(*args))
-    head = "mode = size\nfamily = normal\nn = 6\nd = 2\nreplicates = 2\nk = 2\n"
+    draws = []
+    generate = simulate._generate
+    monkeypatch.setattr(simulate, "_generate",
+                        lambda *args: draws.append(args) or generate(*args))
+    head = ["mode = size", "family = normal", "n = 6", "d = 2", "replicates = 2", "k = 2"]
+    key = bad.split("=")[0].strip()
+    kept = [line for line in head if not line.startswith(f"{key} =")]
     good, last = tmp_path / "good.cfg", tmp_path / "last.cfg"
-    good.write_text("scenario = good\n" + head)
-    last.write_text("scenario = last\n" + head + bad)
+    good.write_text("\n".join(["scenario = good", *head]) + "\n")
+    last.write_text("\n".join(["scenario = last", *kept]) + "\n" + bad)
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         assert main(["simulate", str(good), str(last)]) == 2
-    assert calls == [] and out.getvalue() == ""
+    assert draws == [] and out.getvalue() == ""
     assert "last.cfg" in err.getvalue()
 
 
