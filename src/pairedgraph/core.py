@@ -27,6 +27,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_seed(seed) -> None:
+    """Refuse a negative seed; None (fresh entropy) passes."""
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+
+
 def _check_matrix(arr, name: str) -> np.ndarray:
     mat = np.asarray(arr, dtype=float)
     if mat.ndim != 2:

@@ -103,13 +103,11 @@ class SimilarityGraph:
     """Undirected edge set over pooled nodes.
 
     ``edges`` is an (m, 2) integer array with u < v per row, rows sorted
-    lexicographically. ``k`` records the MST multiplicity when the graph was
-    built as a k-MST (0 for ad hoc edge sets).
+    lexicographically.
     """
 
     edges: np.ndarray
     n_nodes: int
-    k: int = 0
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -187,4 +185,4 @@ def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
     pos = np.concatenate(chosen)
     ends = np.cumsum(np.arange(n - 1, 0, -1))  # row u holds edges below ends[u]
     u = np.searchsorted(ends, pos, side="right")
-    return SimilarityGraph(np.stack([u, pos - ends[u] + n], axis=1), n, k=k)
+    return SimilarityGraph(np.stack([u, pos - ends[u] + n], axis=1), n)

@@ -26,14 +26,12 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _check_seed
 from .graph import DisconnectedError, SimilarityGraph, build_kmst, distance_matrix
 from .moments import CrossPairGraph, census_q3, extract_cross_pair_graph, null_moments
 from .stats import StatisticTriple, standardize
 
 __all__ = [
-    "DEFAULT_EXACT_THRESHOLD",
-    "RNG_ALGORITHM",
     "ExactTooLargeError",
     "PValueReport",
     "asymptotic_pvalues",
@@ -373,8 +371,7 @@ def run_oracle_validation(
         raise ValidationError("need 1 <= min_pairs <= max_pairs")
     if not 1 <= max_dim <= ORACLE_MAX_DIM:
         raise ValidationError(f"need 1 <= max_dim <= {ORACLE_MAX_DIM}, got {max_dim}")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     _require_exact(max_pairs)
     rng = np.random.default_rng(seed)
     max_moment_error = 0.0

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._version import __version__
 from .baselines import HotellingReport, hotelling_paired
-from .core import FLOAT_FORMAT, PairedSample, ValidationError, pool
+from .core import FLOAT_FORMAT, PairedSample, ValidationError, _check_seed, pool
 from .graph import DistanceMatrix, distance_matrix
 from .inference import PValueReport, asymptotic_pvalues, permutation_pvalues
 from .moments import ConditionDiagnostics, NullMoments, census_q3, condition_diagnostics
@@ -123,8 +123,7 @@ def run_paired_test(
     """
     if pvalue not in ("asymptotic", "permutation", "both"):
         raise ValidationError(f"unknown pvalue choice {pvalue!r}")
-    if seed is not None and seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     sample = PairedSample(x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float))
     if sample.n < 2:
         raise ValidationError("need at least 2 pairs to run a test")

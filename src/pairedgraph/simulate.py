@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import SingularCovarianceError, hotelling_paired
-from .core import FLOAT_FORMAT, PairedSample, ValidationError, _readonly, pool
-from .graph import _checked_k, distance_matrix
+from .core import FLOAT_FORMAT, PairedSample, ValidationError, _check_seed, _readonly, pool
+from .graph import DisconnectedError, _checked_k, distance_matrix
 from .inference import asymptotic_pvalues
 from .io import _lines, _read_text
 from .stats import graph_test
@@ -236,8 +236,7 @@ class Scenario:
             )
         if self.replicates < 1:
             raise ValidationError("replicate count must be positive")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        _check_seed(self.seed)
         levels = tuple(sorted(float(a) for a in self.levels))
         if not levels or any(not 0 < a <= 1 for a in levels):
             raise ValidationError("levels must lie in (0, 1]")
@@ -248,7 +247,11 @@ class Scenario:
 
 
 def run_scenario(scenario: Scenario) -> StudyResult:
-    """Run the study's replicates; replicate r draws from default_rng([seed, r])."""
+    """Run the study's replicates; replicate r draws from default_rng([seed, r]).
+
+    An error in a replicate's draw, distances or graph names the scenario and
+    the replicate, counted from 1.
+    """
     spec, k, levels = scenario.spec, scenario.k, scenario.levels
     with_hotelling = scenario.mode == "power" and spec.d < spec.n
     tests = list(GRAPH_TESTS) + (["ht"] if with_hotelling else [])
@@ -258,15 +261,16 @@ def run_scenario(scenario: Scenario) -> StudyResult:
 
     for rep in range(scenario.replicates):
         rng = np.random.default_rng([scenario.seed, rep])
-        sample = _generate(spec, rng)
         try:
-            dist = distance_matrix(pool(sample))
-        except ValidationError as exc:
-            raise ValidationError(
+            sample = _generate(spec, rng)
+            *_, triple = graph_test(distance_matrix(pool(sample)), k)
+        except (ValidationError, DisconnectedError) as exc:
+            # name the study and replicate; the error keeps its type and .level
+            exc.args = (
                 f"scenario {scenario.name!r} (var1={spec.gamma1:.4g}, "
-                f"var2={spec.gamma2:.4g}): {exc}"
-            ) from None
-        *_, triple = graph_test(dist, k)
+                f"var2={spec.gamma2:.4g}), replicate {rep + 1}: {exc}",
+            )
+            raise
         pvals = asymptotic_pvalues(triple)
         found = dict(zip(GRAPH_TESTS, (pvals.p_m_asym, pvals.p_s_asym, pvals.p_g_asym)))
         if with_hotelling:
@@ -325,10 +329,7 @@ def run_power_study(
 
 
 def _levels(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ValueError("levels must be comma-separated numbers") from None
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
 _SCENARIO_KEYS = {
@@ -346,11 +347,12 @@ _SCENARIO_KEYS = {
     "seed": int,
     "levels": _levels,
 }
+_EXPECTED = {int: "an integer", float: "a number", _levels: "comma-separated numbers"}
 
 
 def load_scenario(path) -> Scenario:
     """Parse and check a flat ``key = value`` scenario file; unset keys keep defaults."""
-    raw: dict[str, str] = {}
+    values: dict = {}
     for lineno, line in enumerate(_lines(_read_text(Path(path))), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -360,17 +362,19 @@ def load_scenario(path) -> Scenario:
         key, value = (part.strip() for part in text.split("=", 1))
         if key not in _SCENARIO_KEYS:
             raise ValidationError(f"{path}: line {lineno}: invalid scenario key {key!r}")
-        if key in raw:
+        if key in values:
             raise ValidationError(f"{path}: line {lineno}: duplicate key {key!r}")
-        raw[key] = value
+        convert = _SCENARIO_KEYS[key]
+        try:
+            values[key] = convert(value)
+        except ValueError:
+            raise ValidationError(
+                f"{path}: line {lineno}: {key} must be {_EXPECTED[convert]}, got {value!r}"
+            ) from None
 
     for key in ("scenario", "mode", "family", "n", "d"):
-        if key not in raw:
+        if key not in values:
             raise ValidationError(f"{path}: missing required key {key!r}")
-    try:
-        values = {key: _SCENARIO_KEYS[key](val) for key, val in raw.items()}
-    except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     try:
         spec = scalar_block_spec(
             values.pop("family"),

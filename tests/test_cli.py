@@ -322,6 +322,22 @@ def test_simulate_names_variances_whose_distances_overflow(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_simulate_names_the_replicate_whose_graph_disconnects(tmp_path):
+    head = "mode = size\nfamily = normal\nd = 1\n"
+    good = tmp_path / "good.cfg"
+    good.write_text(f"scenario = good\n{head}n = 10\nreplicates = 2\nk = 2\n")
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(f"scenario = tiny\n{head}n = 3\nk = 3\nreplicates = 20\n")
+    proc = run_cli("simulate", str(good), str(tiny))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: scenario 'tiny' (var1=1, var2=1), replicate 2: "
+        "graph is disconnected at MST level 3"
+    )
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("reader", ["input", "dist-matrix", "simulate"])
 def test_non_utf8_file_exits_2_naming_the_line(tmp_path, pairs_csv, reader):
     bad = tmp_path / "bad.txt"

@@ -346,6 +346,30 @@ def test_scenario_file_errors(tmp_path):
         load_scenario(not_psd)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("k = 2.5", "k must be an integer, got '2.5'"),
+    ("seed = abc", "seed must be an integer, got 'abc'"),
+    ("replicates = 10.0", "replicates must be an integer, got '10.0'"),
+    ("var1 = one", "var1 must be a number, got 'one'"),
+    ("levels = a, b", "levels must be comma-separated numbers, got 'a, b'"),
+])
+def test_unparsable_scenario_value_names_its_key_and_line(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"scenario = x\nmode = size\nfamily = normal\nn = 5\nd = 2\n{line}\n")
+    with pytest.raises(ValidationError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}: line 6: {message}"
+
+
+def test_disconnected_replicate_names_the_scenario_and_keeps_its_level():
+    # k = n: some draw of 3 pairs has no third spanning tree
+    with pytest.raises(DisconnectedError, match=r"^scenario 'tiny' \(var1=1, var2=1\), "
+                       r"replicate 2: graph is disconnected at MST level 3") as info:
+        run_size_study(scalar_block_spec("normal", 3, 1), replicates=20, k=3,
+                       scenario="tiny")
+    assert info.value.level == 3
+
+
 # k = 7 is n + 1; a line whose key the head sets replaces that key's line
 @pytest.mark.parametrize("bad", [
     "rho12 = 1.2\n", "wat = 1\n", "replicates = 0\n", "seed = -1\n", "levels = 2\n",
