@@ -7,6 +7,7 @@ messages and files report 1-based indices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,19 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_seed(seed) -> None:
-    """Refuse a negative seed; None (fresh entropy) passes."""
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool, a float or any other non-integer is refused."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _check_seed(seed) -> int | None:
+    """The seed as an int, refused unless a non-negative integer; None passes."""
+    seed = None if seed is None else _integer(seed, "seed")
     if seed is not None and seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _check_matrix(arr, name: str) -> np.ndarray:

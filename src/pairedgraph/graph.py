@@ -11,7 +11,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import pdist, squareform
 
-from .core import ValidationError
+from .core import ValidationError, _integer
 
 __all__ = [
     "DisconnectedError",
@@ -110,18 +110,20 @@ class SimilarityGraph:
     n_nodes: int
 
     def __post_init__(self) -> None:
+        n = _integer(self.n_nodes, "n_nodes")
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         lo, hi = edges.min(axis=1), edges.max(axis=1)
         if (lo == hi).any():
             raise ValidationError("self-loops are not allowed")
-        if (lo < 0).any() or (hi >= self.n_nodes).any():
+        if (lo < 0).any() or (hi >= n).any():
             raise ValidationError("edge endpoint out of range")
-        keys = np.sort(lo * self.n_nodes + hi)  # rows in (u, v) order
+        keys = np.sort(lo * n + hi)  # rows in (u, v) order
         if (keys[1:] == keys[:-1]).any():
             raise ValidationError("duplicate edges are not allowed")
-        edges = np.stack(np.divmod(keys, self.n_nodes), axis=1)
+        edges = np.stack(np.divmod(keys, n), axis=1)
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "n_nodes", n)
 
     @property
     def n_edges(self) -> int:

@@ -11,12 +11,14 @@ in int64. A block of B swaps costs O((links + n) B / 64) word operations
 and no n x n array. For n at or below the exact threshold all 2^n swaps are
 enumerated in code order, their words built directly; beyond it, swaps are
 sampled with a seeded PCG64 generator as blocks of at most ``_CHUNK`` bit
-rows and then packed. Both reach one tally loop, and each p-value is
-(extra + hits) / (total + extra): extra = 0 for enumeration, and extra = 1
-for sampling, the add-one estimator, which can never return 0. Enumeration
-past the threshold raises ``ExactTooLargeError`` from one guard. The oracle
-sweep enumerates each random instance once and reads the population
-moments and the z_g identity residual from the same counts.
+rows and then packed. Both reach one tally loop, which compares every
+swap's statistics with the observed ones, standardized from the graph's own
+``r1`` and ``r2``. Each p-value is (extra + hits) / (total + extra): extra =
+0 for enumeration, and extra = 1 for sampling, the add-one estimator, which
+can never return 0. Enumeration past the threshold raises
+``ExactTooLargeError`` from one guard. The oracle sweep enumerates each
+random instance once and reads the population moments and the z_g identity
+residual from the same counts.
 """
 
 from __future__ import annotations
@@ -283,17 +285,15 @@ def permutation_pvalues(
 
     moments = null_moments(cross)
 
-    def folded(words, size):  # (z_m, |z_s|, z_g) per swap; None where degenerate
-        z_m, z_s, z_g = standardize(*_swap_counts(cross, words, size), moments)
+    def folded(r1, r2):  # (z_m, |z_s|, z_g); None where degenerate
+        z_m, z_s, z_g = standardize(r1, r2, moments)
         return z_m, None if z_s is None else np.abs(z_s), z_g
 
-    observed = [
-        None if z is None else float(z[0])
-        for z in folded(np.zeros((n, 1), dtype=np.uint64), 1)
-    ]
+    observed = folded(cross.r1, cross.r2)
     hits = [0, 0, 0]
     for words, size in blocks:
-        for slot, (stat, obs) in enumerate(zip(folded(words, size), observed)):
+        swaps = folded(*_swap_counts(cross, words, size))
+        for slot, (stat, obs) in enumerate(zip(swaps, observed)):
             if obs is not None:
                 hits[slot] += int(np.count_nonzero(stat > obs if strict else stat >= obs))
     p_m, p_s, p_g = (
@@ -371,7 +371,7 @@ def run_oracle_validation(
         raise ValidationError("need 1 <= min_pairs <= max_pairs")
     if not 1 <= max_dim <= ORACLE_MAX_DIM:
         raise ValidationError(f"need 1 <= max_dim <= {ORACLE_MAX_DIM}, got {max_dim}")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     _require_exact(max_pairs)
     rng = np.random.default_rng(seed)
     max_moment_error = 0.0

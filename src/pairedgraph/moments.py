@@ -9,7 +9,8 @@ count m, its degree vector deg and the signed weight w of each pair-pair
 link, the sum of t_u t_v over the link's edges with side sign t = +1 below
 n and -1 otherwise. ``CrossPairGraph`` contracts its edges to these links
 once, by ``_pair_links``, and keeps the table as ``links``; the moments,
-the diagnostics and the swap counts of ``inference`` all read it.
+the diagnostics and the swap counts of ``inference`` all read it. It also
+counts the observed R1 and R2 once, as ``r1`` and ``r2``.
 
 A swap is a spin vector sigma in {+1, -1}^n with 4 (R1 + R2) = 2m +
 2 sum w sigma_pa sigma_pb over the links {pa, pb} (``inference._swap_counts``
@@ -36,13 +37,12 @@ division, so every moment is an exact binary fraction.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import ValidationError
+from .core import ValidationError, _integer
 from .graph import SimilarityGraph
 
 __all__ = [
@@ -58,8 +58,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CrossPairGraph:
-    """Cross-pair edges on n_pairs pairs, with the degrees and the pair form
-    derived from them once."""
+    """Cross-pair edges on n_pairs pairs, with the degrees, the pair form and
+    the observed counts (nodes below n in sample 1) derived from them once."""
 
     edges: np.ndarray  # (m, 2) int64, u < v, no edge joins a node to its partner
     n_pairs: int
@@ -68,14 +68,16 @@ class CrossPairGraph:
     c: np.ndarray = field(init=False)  # deg(p) - deg(p + n) for every pair p
     q: int = field(init=False)  # w'w over the links
     s: int = field(init=False)  # c'c
+    r1: int = field(init=False)  # edges with v < n
+    r2: int = field(init=False)  # edges with u >= n
 
     def __post_init__(self) -> None:
-        n = operator.index(self.n_pairs)
+        n = _integer(self.n_pairs, "n_pairs")
         if n < 1:
             raise ValidationError(
                 f"a cross-pair graph needs at least one pair, got {n}"
             )
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)  # a private copy
         u, v = edges[:, 0], edges[:, 1]
         if edges.size and (edges.min() < 0 or edges.max() >= 2 * n):
             raise ValidationError("edge endpoint out of range")
@@ -96,6 +98,8 @@ class CrossPairGraph:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "q", int(links[3] @ links[3]))
         object.__setattr__(self, "s", int(c @ c))
+        object.__setattr__(self, "r1", int(np.count_nonzero(v < n)))
+        object.__setattr__(self, "r2", int(np.count_nonzero(u >= n)))
 
     @property
     def n_edges(self) -> int:

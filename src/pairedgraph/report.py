@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import secrets
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class TestReport:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        sigma = self.moments.sigma_r
         return {
             "version": self.version,
             "seed": self.seed,
@@ -53,26 +52,11 @@ class TestReport:
                 "edges": self.n_graph_edges,
                 "cross_pair_edges": self.n_cross_pair_edges,
             },
-            "counts": {"r1": self.counts.r1, "r2": self.counts.r2},
-            "moments": {
-                "e_r1": self.moments.e_r1,
-                "var_r1": self.moments.var_r1,
-                "cov_r12": self.moments.cov_r12,
-                "var_sum": self.moments.var_sum,
-                "var_diff": self.moments.var_diff,
-                "sigma_r": [[sigma[0, 0], sigma[0, 1]], [sigma[1, 0], sigma[1, 1]]],
-            },
-            "diagnostics": {
-                "sum_ab": self.diagnostics.sum_ab,
-                "sum_degdiff_sq": self.diagnostics.sum_degdiff_sq,
-                "q3": self.diagnostics.q3,
-                "census_q3": self.census_q3,
-                "ab_ratio": self.diagnostics.ab_ratio,
-            },
+            "counts": asdict(self.counts),
+            "moments": {**asdict(self.moments), "sigma_r": self.moments.sigma_r.tolist()},
+            "diagnostics": {**asdict(self.diagnostics), "census_q3": self.census_q3},
             "statistics": {
-                "z_m": self.stats.z_m,
-                "z_s": self.stats.z_s,
-                "z_g": self.stats.z_g,
+                **asdict(self.stats),
                 "degenerate": list(self.stats.degenerate_flags),
             },
             "p_values": {
@@ -123,7 +107,7 @@ def run_paired_test(
     """
     if pvalue not in ("asymptotic", "permutation", "both"):
         raise ValidationError(f"unknown pvalue choice {pvalue!r}")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     sample = PairedSample(x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float))
     if sample.n < 2:
         raise ValidationError("need at least 2 pairs to run a test")

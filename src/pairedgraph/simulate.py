@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import SingularCovarianceError, hotelling_paired
-from .core import FLOAT_FORMAT, PairedSample, ValidationError, _check_seed, _readonly, pool
+from .core import FLOAT_FORMAT, PairedSample, ValidationError, _readonly, pool
+from .core import _check_seed, _integer
 from .graph import DisconnectedError, _checked_k, distance_matrix
 from .inference import asymptotic_pvalues
 from .io import _lines, _read_text
@@ -234,9 +235,10 @@ class Scenario:
             raise ValidationError(
                 "size study needs a null scenario: nu1 == nu2 and gamma1 == gamma2"
             )
+        object.__setattr__(self, "replicates", _integer(self.replicates, "replicates"))
         if self.replicates < 1:
             raise ValidationError("replicate count must be positive")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         levels = tuple(sorted(float(a) for a in self.levels))
         if not levels or any(not 0 < a <= 1 for a in levels):
             raise ValidationError("levels must lie in (0, 1]")

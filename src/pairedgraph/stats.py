@@ -1,13 +1,14 @@
 """The staged graph test and its three standardized statistics.
 
-``graph_test`` runs k-MST -> cross-pair graph -> null moments -> observed
-counts -> statistics. ``standardize`` is the one formula that turns counts
-into statistics, for the observed labeling and for every permuted one.
+``graph_test`` runs k-MST -> cross-pair graph and its observed counts ->
+null moments -> statistics. ``standardize`` is the one formula that turns
+counts into statistics, for the observed labeling and for every permuted one.
 
 z_m targets mean alternatives (rejects for large values), z_s targets scale
 alternatives (rejects for large |z_s|), and z_g is the quadratic form in
 (R1, R2) combining both; whenever both directions are nondegenerate,
-z_g = z_m^2 + z_s^2.
+z_g = z_m^2 + z_s^2. A statistic whose null variance vanishes is None, and
+``StatisticTriple.degenerate_flags`` names it.
 """
 
 from __future__ import annotations
@@ -15,15 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import DistanceMatrix, SimilarityGraph, build_kmst
-from .moments import (
-    CrossPairGraph,
-    NullMoments,
-    extract_cross_pair_graph,
-    null_moments,
-)
+from .moments import CrossPairGraph, NullMoments, extract_cross_pair_graph, null_moments
 
 __all__ = [
     "EdgeCounts",
@@ -49,7 +43,11 @@ class StatisticTriple:
     z_m: float | None
     z_s: float | None
     z_g: float | None
-    degenerate_flags: tuple[str, ...] = ()
+
+    @property
+    def degenerate_flags(self) -> tuple[str, ...]:
+        """The names ("m", "s", "g") of the statistics that are None."""
+        return tuple(f for f, z in zip("msg", (self.z_m, self.z_s, self.z_g)) if z is None)
 
 
 def standardize(r1, r2, moments: NullMoments):
@@ -77,14 +75,8 @@ def standardize(r1, r2, moments: NullMoments):
 
 
 def statistics(counts: EdgeCounts, moments: NullMoments) -> StatisticTriple:
-    """Standardize the observed counts against the null moments.
-
-    Statistics whose null variance vanishes are returned as None and named in
-    ``degenerate_flags`` rather than silently propagating NaN.
-    """
-    z = standardize(counts.r1, counts.r2, moments)
-    flags = tuple(flag for flag, value in zip("msg", z) if value is None)
-    return StatisticTriple(*z, degenerate_flags=flags)
+    """Standardize the observed counts; a degenerate statistic is None, not NaN."""
+    return StatisticTriple(*standardize(counts.r1, counts.r2, moments))
 
 
 def graph_test(
@@ -93,16 +85,10 @@ def graph_test(
     """The k-MST test on the pooled distances, stage by stage.
 
     Returns the graph, its cross-pair part, the null moments, the observed
-    counts and their statistics. Observed labels put nodes below n in sample
-    1; edges are stored with u < v, so R1 counts edges with v < n and R2
-    edges with u >= n.
+    counts and their statistics.
     """
     graph = build_kmst(dist, k)
     cross = extract_cross_pair_graph(graph)
     moments = null_moments(cross)
-    n = cross.n_pairs
-    counts = EdgeCounts(
-        r1=int(np.count_nonzero(cross.edges[:, 1] < n)),
-        r2=int(np.count_nonzero(cross.edges[:, 0] >= n)),
-    )
+    counts = EdgeCounts(cross.r1, cross.r2)
     return graph, cross, moments, counts, statistics(counts, moments)

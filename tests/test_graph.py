@@ -418,6 +418,8 @@ def test_similarity_graph_rejects_junk():
         SimilarityGraph(np.array([[2, 3], [0, 1], [1, 2], [3, 2]]), 4)
     with pytest.raises(ValidationError, match="range"):
         SimilarityGraph(np.array([[0, 9]]), 4)
+    with pytest.raises(ValidationError, match="^n_nodes must be an integer, got 6.0$"):
+        SimilarityGraph([[0, 1], [1, 2], [0, 4]], n_nodes=6.0)
 
 
 def test_similarity_graph_orders_rows():

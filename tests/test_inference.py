@@ -18,6 +18,7 @@ from pairedgraph import (
     null_moments,
     permutation_pvalues,
     run_oracle_validation,
+    standardize,
     statistics,
 )
 from pairedgraph.inference import _chi2_2_sf, _normal_sf
@@ -78,9 +79,7 @@ def test_asymptotic_pvalue_conventions():
     assert report.p_s_asym == pytest.approx(2 * hp_normal_sf(2.0), rel=1e-12)
     assert report.p_g_asym == pytest.approx(math.exp(-4.0), rel=1e-12)
 
-    report = asymptotic_pvalues(
-        StatisticTriple(z_m=1.0, z_s=None, z_g=None, degenerate_flags=("s", "g"))
-    )
+    report = asymptotic_pvalues(StatisticTriple(z_m=1.0, z_s=None, z_g=None))
     assert report.p_s_asym is None
     assert report.p_g_asym is None
 
@@ -288,6 +287,9 @@ def test_oracle_validation_argument_errors():
     message = r"exact enumeration needs 2\^25 assignments; the threshold is n <= 20"
     with pytest.raises(ExactTooLargeError, match=message):
         run_oracle_validation(10, max_pairs=25)
+    with pytest.raises(ValidationError, match="^seed must be an integer, got 1.5$"):
+        run_oracle_validation(2, seed=1.5)
+    assert type(run_oracle_validation(2, seed=np.int64(4)).seed) is int
 
 
 def test_statistics_match_manual_standardization():
@@ -466,3 +468,36 @@ def test_pvalues_byte_equal_to_gather_path(monkeypatch, n, kwargs, strict):
         )
         assert repr(permutation_pvalues(cross, strict=strict, **kwargs)) == repr(spin)
     assert 0 < spin.p_g_perm < 1
+
+
+def observed_label_graphs():
+    """The oracle families: random cross edges, and k-MSTs on continuous,
+    rounded and Manhattan integer-grid data."""
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        yield cross_of(random_cross_edges(rng, n), n)
+    for n in (4, 9, 25):
+        x = rng.standard_normal((2 * n, 3))
+        grid = rng.integers(0, 3, size=(2 * n, 3)).astype(float)
+        for pooled, metric in ((x, "euclidean"), (x.round(), "euclidean"), (grid, "manhattan")):
+            for k in (1, 2, 3):
+                yield extract_cross_pair_graph(build_kmst(distance_matrix(pooled, metric), k))
+
+
+def folded_bits(z):
+    """(z_m, |z_s|, z_g) as permutation_pvalues compares them, as exact hex."""
+    z_m, z_s, z_g = (None if v is None else float(np.ravel(v)[0]) for v in z)
+    return [None if v is None else v.hex() for v in (z_m, None if z_s is None else abs(z_s), z_g)]
+
+
+def test_observed_counts_are_the_unswapped_counts():
+    # the all-zero swap word is the observed labeling, so its counts and
+    # statistics are the graph's own r1 and r2 and their statistics, bit for bit
+    for cross in observed_label_graphs():
+        n, m = cross.n_pairs, null_moments(cross)
+        r1, r2 = inference._swap_counts(cross, np.zeros((n, 1), np.uint64), 1)
+        assert (r1.tolist(), r2.tolist()) == ([cross.r1], [cross.r2])
+        assert folded_bits(standardize(r1, r2, m)) == folded_bits(
+            standardize(cross.r1, cross.r2, m)
+        )

@@ -198,6 +198,18 @@ def test_run_paired_test_argument_validation():
         run_paired_test(x, y, pvalue="permutation", seed=-1)
 
 
+@pytest.mark.parametrize("pvalue, seed", [
+    ("both", 1.5), ("both", True), ("asymptotic", 1.5), ("asymptotic", True),
+])
+def test_run_paired_test_refuses_a_seed_that_is_no_integer(pvalue, seed):
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+    with pytest.raises(ValidationError, match=f"^seed must be an integer, got {seed!r}$"):
+        run_paired_test(x, y, pvalue=pvalue, seed=seed)
+    report = run_paired_test(x, y, pvalue=pvalue, n_perm=10, seed=np.int64(7))
+    assert type(report.seed) is int and '"seed":7,' in report_json(report)
+
+
 def test_library_permutation_run_draws_a_replayable_seed():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((25, 3))

@@ -475,6 +475,7 @@ def test_cross_pair_graph_refuses_a_partner_edge():
         ([[0, 4]], 2, "out of range"),
         ([[-1, 1]], 2, "out of range"),
         ([], 0, "at least one pair"),
+        ([[0, 1]], 2.0, "n_pairs must be an integer"),
     ],
 )
 def test_cross_pair_graph_validates_its_input(edges, n_pairs, match):
@@ -487,6 +488,17 @@ def test_cross_pair_graph_derives_its_degrees():
     assert cross.deg.tolist() == [2, 3, 1, 0, 0, 0]
     assert cross.deg.dtype == np.int64 and cross.n_nodes == 6
     assert moments.CrossPairGraph(edges=[], n_pairs=1).deg.tolist() == [0, 0]
+
+
+def test_cross_pair_graph_keeps_a_private_copy_of_its_edges():
+    edges = np.array([[0, 1], [1, 2], [0, 4]])
+    cross = moments.CrossPairGraph(edges=edges, n_pairs=3)
+    before = links_of(cross)
+    edges[0] = [0, 3]  # a partner edge, which the constructor refuses
+    assert not np.shares_memory(cross.edges, edges)
+    assert cross.edges.tolist() == [[0, 1], [1, 2], [0, 4]]
+    assert links_of(cross) == before
+    assert (cross.r1, cross.r2) == (2, 0)
 
 
 def test_cross_pair_graph_accepts_duplicate_edges():

@@ -1,5 +1,9 @@
 """The package exports exactly its modules' ``__all__`` lists."""
 
+import importlib.metadata
+
+import pytest
+
 import pairedgraph
 from pairedgraph import baselines, core, graph, inference, io, moments, report, simulate, stats
 
@@ -41,3 +45,12 @@ def test_package_names_are_their_modules_objects():
 def test_inference_constants_stay_in_their_module():
     assert inference.DEFAULT_EXACT_THRESHOLD == 20
     assert inference.RNG_ALGORITHM == "PCG64"
+
+
+def test_installed_version_is_the_package_version():
+    # pyproject.toml reads the version from pairedgraph._version
+    try:
+        installed = importlib.metadata.version("pairedgraph")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("the pairedgraph distribution is not installed")
+    assert installed == pairedgraph.__version__

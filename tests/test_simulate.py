@@ -370,6 +370,17 @@ def test_disconnected_replicate_names_the_scenario_and_keeps_its_level():
     assert info.value.level == 3
 
 
+@pytest.mark.parametrize("key, value", [
+    ("replicates", True), ("replicates", 2.5), ("seed", True), ("seed", 1.5),
+])
+def test_study_seed_and_replicates_must_be_integers(key, value):
+    spec = scalar_block_spec("normal", 4, 2)
+    with pytest.raises(ValidationError, match=f"^{key} must be an integer, got {value!r}$"):
+        run_size_study(spec, k=2, **{"replicates": 2, key: value})
+    result = run_size_study(spec, k=2, **{"replicates": 2, key: np.uint8(2)})
+    assert type(result.replicates) is int and type(result.seed) is int
+
+
 # k = 7 is n + 1; a line whose key the head sets replaces that key's line
 @pytest.mark.parametrize("bad", [
     "rho12 = 1.2\n", "wat = 1\n", "replicates = 0\n", "seed = -1\n", "levels = 2\n",

@@ -4,6 +4,7 @@ import pytest
 from pairedgraph import (
     EdgeCounts,
     NullMoments,
+    StatisticTriple,
     distance_matrix,
     exhaustive_edge_counts,
     graph_test,
@@ -92,6 +93,12 @@ def test_degenerate_mean_direction_flagged():
     assert triple.z_m is None
     assert triple.z_s is not None
     assert triple.degenerate_flags == ("m", "g")
+
+
+def test_degenerate_flags_follow_the_statistics():
+    assert StatisticTriple(z_m=None, z_s=1.0, z_g=None).degenerate_flags == ("m", "g")
+    assert StatisticTriple(z_m=0.0, z_s=0.0, z_g=0.0).degenerate_flags == ()
+    assert StatisticTriple(None, None, None).degenerate_flags == ("m", "s", "g")
 
 
 def test_quadratic_identity_on_random_instances():
