@@ -145,9 +145,9 @@ def _edge_order(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_k(k, n_nodes: int) -> int:
     """k as an int, refused unless 1 <= k <= floor(N/2) for N = ``n_nodes``."""
-    if int(k) != k or k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k!r}")
-    k = int(k)
+    k = _integer(k, "k")
+    if k < 1:
+        raise ValidationError(f"k must be a positive integer, got {k}")
     if k > n_nodes // 2:
         raise ValidationError(
             f"k={k} exceeds floor(N/2)={n_nodes // 2}: the complete graph on "

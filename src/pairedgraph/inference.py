@@ -28,7 +28,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import ValidationError, _check_seed
+from .core import ValidationError, _check_seed, _integer
 from .graph import DisconnectedError, SimilarityGraph, build_kmst, distance_matrix
 from .moments import CrossPairGraph, census_q3, extract_cross_pair_graph, null_moments
 from .stats import StatisticTriple, standardize
@@ -264,6 +264,7 @@ def permutation_pvalues(
     ``DEFAULT_EXACT_THRESHOLD``). Exact mode counts swaps whose statistic is
     >= the observed one (or > with ``strict=True``) out of all 2^n.
     """
+    seed = _check_seed(seed)
     n = cross.n_pairs
     if mode not in ("auto", "exact", "monte-carlo"):
         raise ValidationError(f"unknown permutation mode {mode!r}")
@@ -272,9 +273,10 @@ def permutation_pvalues(
     if mode == "exact":
         _require_exact(n)
         blocks, total, extra = _enumerated_words(n), 1 << n, 0
-    elif n_perm < 1:
-        raise ValidationError("monte-carlo needs at least one permutation")
     else:
+        n_perm = _integer(n_perm, "n_perm")
+        if n_perm < 1:
+            raise ValidationError("monte-carlo needs at least one permutation")
         rng = np.random.default_rng(seed)
         sizes = [min(_CHUNK, n_perm - start) for start in range(0, n_perm, _CHUNK)]
         blocks = (
@@ -365,6 +367,10 @@ def run_oracle_validation(
     the worst |z_g - z_m^2 - z_s^2| over all swaps of nondegenerate
     instances and cross-checks the pair-of-pairs census of q3.
     """
+    instances = _integer(instances, "instances")
+    min_pairs = _integer(min_pairs, "min_pairs")
+    max_pairs = _integer(max_pairs, "max_pairs")
+    max_dim = _integer(max_dim, "max_dim")
     if instances < 1:
         raise ValidationError("instance count must be positive")
     if not 1 <= min_pairs <= max_pairs:

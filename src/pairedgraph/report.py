@@ -15,10 +15,10 @@ import numpy as np
 from ._version import __version__
 from .baselines import HotellingReport, hotelling_paired
 from .core import FLOAT_FORMAT, PairedSample, ValidationError, _check_seed, pool
-from .graph import DistanceMatrix, distance_matrix
+from .graph import DistanceMatrix, _checked_k, distance_matrix
 from .inference import PValueReport, asymptotic_pvalues, permutation_pvalues
 from .moments import ConditionDiagnostics, NullMoments, census_q3, condition_diagnostics
-from .stats import EdgeCounts, StatisticTriple, graph_test
+from .stats import StatisticTriple, graph_test
 
 __all__ = ["TestReport", "run_paired_test", "report_json", "report_csv"]
 
@@ -33,7 +33,8 @@ class TestReport:
     metric: str
     n_graph_edges: int
     n_cross_pair_edges: int
-    counts: EdgeCounts
+    r1: int
+    r2: int
     moments: NullMoments
     diagnostics: ConditionDiagnostics
     census_q3: int
@@ -52,7 +53,7 @@ class TestReport:
                 "edges": self.n_graph_edges,
                 "cross_pair_edges": self.n_cross_pair_edges,
             },
-            "counts": asdict(self.counts),
+            "counts": {"r1": self.r1, "r2": self.r2},
             "moments": {**asdict(self.moments), "sigma_r": self.moments.sigma_r.tolist()},
             "diagnostics": {**asdict(self.diagnostics), "census_q3": self.census_q3},
             "statistics": {
@@ -111,6 +112,7 @@ def run_paired_test(
     sample = PairedSample(x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float))
     if sample.n < 2:
         raise ValidationError("need at least 2 pairs to run a test")
+    k = _checked_k(k, 2 * sample.n)
     if seed is None and pvalue != "asymptotic":
         seed = secrets.randbits(63)
     # Hotelling draws nothing, so running it first lets d >= n fail before the graph
@@ -127,7 +129,7 @@ def run_paired_test(
     else:
         dist = distance_matrix(pool(sample), metric)
 
-    graph, cross, moments, counts, triple = graph_test(dist, k)
+    graph, cross, moments, triple = graph_test(dist, k)
 
     pvals = PValueReport()
     if pvalue in ("permutation", "both"):
@@ -154,7 +156,8 @@ def run_paired_test(
         metric=metric,
         n_graph_edges=graph.n_edges,
         n_cross_pair_edges=cross.n_edges,
-        counts=counts,
+        r1=cross.r1,
+        r2=cross.r2,
         moments=moments,
         diagnostics=condition_diagnostics(cross),
         census_q3=census_q3(cross),

@@ -52,12 +52,15 @@ GRAPH_TESTS = ("z_m", "z_s", "z_g")
 MAX_DRAW_FLOATS = 1 << 27  # floats in one replicate's n x 2d draw (1 GiB), checked first
 
 
-def _check_draw_size(n: int, d: int) -> None:
+def _check_draw_size(n: int, d: int) -> tuple[int, int]:
+    """n and d as ints, refused unless the n x 2d draw fits MAX_DRAW_FLOATS."""
+    n, d = _integer(n, "n"), _integer(d, "d")
     if n < 1 or d < 1 or 2 * n * d > MAX_DRAW_FLOATS:
         raise ValidationError(
             "need n >= 1 pairs, d >= 1 dimensions and a draw of 2nd <= "
             f"{MAX_DRAW_FLOATS} floats (MAX_DRAW_FLOATS); got n={n}, d={d}"
         )
+    return n, d
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +86,9 @@ class GeneratorSpec:
             raise ValidationError(
                 f"unknown family {self.family!r}; expected one of {_FAMILIES}"
             )
-        _check_draw_size(self.n, self.d)
-        d = self.d
+        n, d = _check_draw_size(self.n, self.d)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         for name in ("nu1", "nu2"):
             vec = _readonly(np.asarray(getattr(self, name), dtype=float).ravel())
             if vec.size != d:
@@ -140,7 +144,7 @@ def scalar_block_spec(
     rho12 for any variance scaling. Variances above half the largest float
     are rejected, so the block covariance stays clear of overflow.
     """
-    _check_draw_size(n, d)
+    n, d = _check_draw_size(n, d)
     limit = sys.float_info.max / 2
     if not (0 <= var1 <= limit and 0 <= var2 <= limit):
         raise ValidationError(

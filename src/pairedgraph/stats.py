@@ -1,8 +1,9 @@
 """The staged graph test and its three standardized statistics.
 
-``graph_test`` runs k-MST -> cross-pair graph and its observed counts ->
-null moments -> statistics. ``standardize`` is the one formula that turns
-counts into statistics, for the observed labeling and for every permuted one.
+``graph_test`` runs k-MST -> cross-pair graph (which carries the observed
+counts R1 and R2 as ``cross.r1`` and ``cross.r2``) -> null moments ->
+statistics. ``standardize`` is the one formula that turns counts into
+statistics, for the observed labeling and for every permuted one.
 
 z_m targets mean alternatives (rejects for large values), z_s targets scale
 alternatives (rejects for large |z_s|), and z_g is the quadratic form in
@@ -19,21 +20,7 @@ from dataclasses import dataclass
 from .graph import DistanceMatrix, SimilarityGraph, build_kmst
 from .moments import CrossPairGraph, NullMoments, extract_cross_pair_graph, null_moments
 
-__all__ = [
-    "EdgeCounts",
-    "StatisticTriple",
-    "standardize",
-    "statistics",
-    "graph_test",
-]
-
-
-@dataclass(frozen=True)
-class EdgeCounts:
-    """Cross-pair edges with both endpoints in sample 1 (r1) or sample 2 (r2)."""
-
-    r1: int
-    r2: int
+__all__ = ["StatisticTriple", "standardize", "graph_test"]
 
 
 @dataclass(frozen=True)
@@ -74,21 +61,16 @@ def standardize(r1, r2, moments: NullMoments):
     return z_m, z_s, z_g
 
 
-def statistics(counts: EdgeCounts, moments: NullMoments) -> StatisticTriple:
-    """Standardize the observed counts; a degenerate statistic is None, not NaN."""
-    return StatisticTriple(*standardize(counts.r1, counts.r2, moments))
-
-
 def graph_test(
     dist: DistanceMatrix, k: int
-) -> tuple[SimilarityGraph, CrossPairGraph, NullMoments, EdgeCounts, StatisticTriple]:
+) -> tuple[SimilarityGraph, CrossPairGraph, NullMoments, StatisticTriple]:
     """The k-MST test on the pooled distances, stage by stage.
 
-    Returns the graph, its cross-pair part, the null moments, the observed
-    counts and their statistics.
+    Returns the graph, its cross-pair part (with the observed counts), the
+    null moments and the observed counts' statistics.
     """
     graph = build_kmst(dist, k)
     cross = extract_cross_pair_graph(graph)
     moments = null_moments(cross)
-    counts = EdgeCounts(cross.r1, cross.r2)
-    return graph, cross, moments, counts, statistics(counts, moments)
+    triple = StatisticTriple(*standardize(cross.r1, cross.r2, moments))
+    return graph, cross, moments, triple

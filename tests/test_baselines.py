@@ -80,6 +80,16 @@ class TestHotelling:
         with pytest.raises(DimensionError):
             run_paired_test(sample.x, sample.y, pvalue="both", baseline_ht=True, seed=0)
 
+    def test_run_paired_test_checks_k_before_hotelling_and_distances(self, monkeypatch):
+        def too_early(*args, **kwargs):
+            pytest.fail("Hotelling's T2 or the distances ran before k was checked")
+
+        monkeypatch.setattr(report, "hotelling_paired", too_early)
+        monkeypatch.setattr(report, "distance_matrix", too_early)
+        sample = sample_from(np.random.default_rng(2), 8, 3)
+        with pytest.raises(ValidationError, match="^k must be a positive integer, got 0$"):
+            run_paired_test(sample.x, sample.y, k=0, baseline_ht=True)
+
     def test_singular_covariance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((10, 3))

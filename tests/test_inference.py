@@ -19,10 +19,9 @@ from pairedgraph import (
     permutation_pvalues,
     run_oracle_validation,
     standardize,
-    statistics,
 )
 from pairedgraph.inference import _chi2_2_sf, _normal_sf
-from pairedgraph.stats import EdgeCounts
+from pairedgraph.stats import StatisticTriple
 
 from oracles import (
     dense_spin_counts,
@@ -290,6 +289,27 @@ def test_oracle_validation_argument_errors():
     with pytest.raises(ValidationError, match="^seed must be an integer, got 1.5$"):
         run_oracle_validation(2, seed=1.5)
     assert type(run_oracle_validation(2, seed=np.int64(4)).seed) is int
+    with pytest.raises(ValidationError, match=r"^instances must be an integer, got 2\.5$"):
+        run_oracle_validation(2.5)
+    with pytest.raises(ValidationError, match=r"^max_dim must be an integer, got 2\.5$"):
+        run_oracle_validation(2, max_dim=2.5)
+    with pytest.raises(ValidationError, match="^max_pairs must be an integer, got True$"):
+        run_oracle_validation(2, min_pairs=1, max_pairs=True)
+    with pytest.raises(ValidationError, match="^min_pairs must be an integer, got None$"):
+        run_oracle_validation(2, min_pairs=None)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be non-negative, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+])
+def test_permutation_pvalues_checks_its_seed(seed, message):
+    cross = cross_of([[0, 1], [1, 2], [0, 5]], 3)
+    for mode in ("monte-carlo", "exact"):
+        with pytest.raises(ValidationError) as info:
+            permutation_pvalues(cross, n_perm=10, seed=seed, mode=mode)
+        assert str(info.value) == message
 
 
 def test_statistics_match_manual_standardization():
@@ -299,7 +319,7 @@ def test_statistics_match_manual_standardization():
     r1, r2 = exhaustive_edge_counts(cross)
     table = enumerate_counts(edges, 3)
     assert list(zip(r1.tolist(), r2.tolist())) == table
-    triple = statistics(EdgeCounts(int(r1[0]), int(r2[0])), moments)
+    triple = StatisticTriple(*standardize(int(r1[0]), int(r2[0]), moments))
     assert triple.z_m == (r1[0] + r2[0] - 2 * moments.e_r1) / math.sqrt(
         moments.var_sum
     )

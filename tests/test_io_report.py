@@ -210,6 +210,26 @@ def test_run_paired_test_refuses_a_seed_that_is_no_integer(pvalue, seed):
     assert type(report.seed) is int and '"seed":7,' in report_json(report)
 
 
+@pytest.mark.parametrize("count, value, message", [
+    ("k", True, "k must be an integer, got True"),
+    ("k", 5.0, "k must be an integer, got 5.0"),
+    ("k", None, "k must be an integer, got None"),
+    ("k", "5", "k must be an integer, got '5'"),
+    ("n_perm", True, "n_perm must be an integer, got True"),
+    ("n_perm", 2.5, "n_perm must be an integer, got 2.5"),
+    ("n_perm", None, "n_perm must be an integer, got None"),
+])
+def test_run_paired_test_refuses_a_count_that_is_no_integer(count, value, message):
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((30, 2)), rng.standard_normal((30, 2))
+    counts = {"k": 3, "n_perm": 50}
+    with pytest.raises(ValidationError) as info:
+        run_paired_test(x, y, pvalue="permutation", seed=1, **{**counts, count: value})
+    assert str(info.value) == message
+    report = run_paired_test(x, y, k=np.int64(3))
+    assert type(report.k) is int and '"k":3,' in report_json(report)
+
+
 def test_library_permutation_run_draws_a_replayable_seed():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((25, 3))

@@ -11,7 +11,7 @@ MODULES = (baselines, core, graph, inference, io, moments, report, simulate, sta
 
 PUBLIC = [
     "ConditionDiagnostics", "CrossPairGraph", "DimensionError", "DisconnectedError",
-    "DistanceMatrix", "EdgeCounts", "ExactTooLargeError", "GeneratorSpec",
+    "DistanceMatrix", "ExactTooLargeError", "GeneratorSpec",
     "HotellingReport", "NullMoments", "PValueReport", "PairedSample", "SimilarityGraph",
     "SingularCovarianceError", "StatisticTriple", "StudyResult", "TestReport",
     "ValidationError", "ZeroVarianceError", "__version__", "asymptotic_pvalues",
@@ -21,7 +21,7 @@ PUBLIC = [
     "permutation_pvalues", "pool", "precomputed_distance", "read_distance_csv",
     "read_paired_csv", "report_csv", "report_json", "results_to_csv",
     "run_oracle_validation", "run_paired_test", "run_power_study", "run_scenario",
-    "run_size_study", "scalar_block_spec", "standardize", "statistics",
+    "run_size_study", "scalar_block_spec", "standardize",
     "write_paired_csv",
 ]
 

@@ -137,6 +137,19 @@ def test_oversized_draw_is_refused_before_allocating(monkeypatch, tmp_path):
     assert "MAX_DRAW_FLOATS" in err.getvalue()
 
 
+def test_draw_sizes_are_integers():
+    for build, message in (
+        (lambda: scalar_block_spec("normal", 5.5, 2), "n must be an integer, got 5.5"),
+        (lambda: scalar_block_spec("normal", 5, 2.5), "d must be an integer, got 2.5"),
+        (lambda: spec_with(n=True, d=2), "n must be an integer, got True"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+    spec = scalar_block_spec("normal", np.int64(5), np.int64(2))
+    assert (type(spec.n), type(spec.d)) == (int, int)
+
+
 @pytest.mark.parametrize("var1, var2", [(1e308, 1e308), (1e308, 1.0), (1.0, 1e308)])
 def test_overflowing_variances_are_named(var1, var2):
     with pytest.raises(ValidationError, match="var1 and var2"):

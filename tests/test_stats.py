@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pairedgraph import (
-    EdgeCounts,
     NullMoments,
     StatisticTriple,
     distance_matrix,
@@ -10,7 +9,6 @@ from pairedgraph import (
     graph_test,
     null_moments,
     standardize,
-    statistics,
 )
 
 from oracles import empirical_moments, enumerate_counts, random_cross_edges
@@ -28,8 +26,8 @@ def test_count_edges_identity():
     rng = np.random.default_rng(3)
     for n in (2, 5, 9):
         pooled = rng.standard_normal((2 * n, 2))
-        _, cross, _, counts, _ = graph_test(distance_matrix(pooled), 2)
-        assert (counts.r1, counts.r2) == enumerate_counts(cross.edges, n)[0]
+        _, cross, _, _ = graph_test(distance_matrix(pooled), 2)
+        assert (cross.r1, cross.r2) == enumerate_counts(cross.edges, n)[0]
 
 
 def test_count_edges_swapped_pair():
@@ -62,7 +60,7 @@ def test_standardize_is_statistics_elementwise():
         r1, r2 = exhaustive_edge_counts(cross_of(edges, n))
         batch = standardize(r1, r2, m)
         for pos in range(r1.size):
-            one = statistics(EdgeCounts(int(r1[pos]), int(r2[pos])), m)
+            one = StatisticTriple(*standardize(int(r1[pos]), int(r2[pos]), m))
             for got, want in zip(batch, (one.z_m, one.z_s, one.z_g)):
                 assert (got is None) == (want is None)
                 if got is not None:
@@ -71,7 +69,7 @@ def test_standardize_is_statistics_elementwise():
 
 def test_statistics_centered_case_is_zero():
     m = NullMoments(e_r1=1.0, var_r1=0.5, cov_r12=0.1, var_sum=1.2, var_diff=0.8)
-    triple = statistics(EdgeCounts(r1=1, r2=1), m)
+    triple = StatisticTriple(*standardize(1, 1, m))
     assert triple.z_m == 0.0
     assert triple.z_s == 0.0
     assert triple.z_g == 0.0
@@ -80,7 +78,7 @@ def test_statistics_centered_case_is_zero():
 
 def test_degenerate_scale_direction_flagged():
     # the disjoint mirror pair has Var(R1 - R2) = 0
-    triple = statistics(EdgeCounts(2, 0), moments_of(DISJOINT, 2))
+    triple = StatisticTriple(*standardize(2, 0, moments_of(DISJOINT, 2)))
     assert triple.z_m is not None
     assert triple.z_s is None
     assert triple.z_g is None
@@ -89,7 +87,7 @@ def test_degenerate_scale_direction_flagged():
 
 def test_degenerate_mean_direction_flagged():
     # the shared-endpoint pair has Var(R1 + R2) = 0
-    triple = statistics(EdgeCounts(1, 0), moments_of(SHARED, 2))
+    triple = StatisticTriple(*standardize(1, 0, moments_of(SHARED, 2)))
     assert triple.z_m is None
     assert triple.z_s is not None
     assert triple.degenerate_flags == ("m", "g")
@@ -112,7 +110,7 @@ def test_quadratic_identity_on_random_instances():
             continue
         cross = cross_of(edges, n)
         for a, b in set(enumerate_counts(edges, n)):
-            triple = statistics(EdgeCounts(a, b), m)
+            triple = StatisticTriple(*standardize(a, b, m))
             assert triple.z_g == pytest.approx(
                 triple.z_m**2 + triple.z_s**2, abs=1e-10
             )
@@ -126,8 +124,8 @@ def test_label_swap_negates_scale_statistic():
     m = moments_of(edges, n)
     if m.var_sum == 0.0 or m.var_diff == 0.0:
         pytest.skip("degenerate draw")
-    a = statistics(EdgeCounts(5, 2), m)
-    b = statistics(EdgeCounts(2, 5), m)
+    a = StatisticTriple(*standardize(5, 2, m))
+    b = StatisticTriple(*standardize(2, 5, m))
     assert b.z_s == -a.z_s
     assert b.z_m == a.z_m
     assert b.z_g == pytest.approx(a.z_g, abs=1e-12)
@@ -145,8 +143,8 @@ def test_exhaustive_standardization_is_exact():
         if m.var_sum == 0.0 or m.var_diff == 0.0:
             continue
         table = enumerate_counts(edges, n)
-        z_m = np.array([statistics(EdgeCounts(a, b), m).z_m for a, b in table])
-        z_s = np.array([statistics(EdgeCounts(a, b), m).z_s for a, b in table])
+        z_m = np.array([StatisticTriple(*standardize(a, b, m)).z_m for a, b in table])
+        z_s = np.array([StatisticTriple(*standardize(a, b, m)).z_s for a, b in table])
         assert z_m.mean() == pytest.approx(0.0, abs=1e-10)
         assert z_s.mean() == pytest.approx(0.0, abs=1e-10)
         assert np.mean(z_m**2) == pytest.approx(1.0, abs=1e-10)
