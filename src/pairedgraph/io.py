@@ -7,6 +7,13 @@ matrices are plain N x N numeric CSVs and must be exactly symmetric. Cells
 must parse as finite floats; errors name the file line where the record starts.
 Every input file, scenario files included, counts lines as ``csv`` does:
 CRLF, a lone CR and a lone LF each end one (``_lines``).
+
+Both CSV readers first try numpy's C parser (``_parsed``), which returns only
+when the header, the row widths and every value pass their checks and no byte
+lets it accept a cell the record parser refuses. Anything else, including any
+error, is read again by the record parser (``_records``, ``_float_rows``), so
+every error message comes from the record parser and the values are the same
+either way.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from io import StringIO
 from pathlib import Path
 
@@ -83,9 +91,51 @@ def _float_rows(path: Path, records, columns: list[str] | None = None) -> np.nda
     return np.array(rows, dtype=float)
 
 
-def read_paired_csv(path) -> PairedSample:
-    """Read a paired sample; errors name the offending 1-based file line."""
-    path = Path(path)
+def _loose_bytes(path: Path) -> bool:
+    """Whether numpy could accept a cell that the record parser refuses: a byte
+    0x1C-0x1F, which numpy strips from a number as whitespace and ``float`` does
+    not, or a chunk of half ``csv``'s field size limit without a comma. When
+    every chunk holds a comma, no comma-free run, and so no cell numpy accepts,
+    can reach the limit."""
+    span = max(csv.field_size_limit() // 2, 1)
+    with path.open("rb") as handle:
+        while chunk := handle.read(span):
+            if b"," not in chunk or any(byte in chunk for byte in b"\x1c\x1d\x1e\x1f"):
+                return True
+    return False
+
+
+def _parsed(path: Path, header: bool) -> np.ndarray | None:
+    """The data rows as numpy's C parser reads them, or None to leave the file
+    to the record parser. Rows are returned only when there are at least 2, all
+    finite, of one width (``x1..xd,y1..yd`` heads a paired file and sets 2d),
+    and ``_loose_bytes`` finds nothing."""
+    skip, width = 0, None
+    try:
+        if header:  # the first record only; a quoted name may span lines
+            with path.open(encoding="utf-8-sig", newline="") as handle:
+                reader = csv.reader(handle)
+                names = [name.strip() for name in next(reader, [])]
+            d = len(names) // 2
+            if not d or names != _expected_header(d):
+                return None
+            skip, width = reader.line_num, 2 * d
+        if _loose_bytes(path):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without rows
+            # comments=None: a row such as "#3,4" is an error, not a comment
+            data = np.loadtxt(path, delimiter=",", quotechar='"', comments=None,
+                              ndmin=2, encoding="utf-8-sig", skiprows=skip)
+    except (OSError, ValueError, csv.Error):
+        return None
+    if len(data) < 2 or width not in (None, data.shape[1]) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _paired_records(path: Path) -> np.ndarray:
+    """The data rows of a paired CSV by the record parser, 2d floats each."""
     records = _records(path)
     _, header = next(records, (1, None))
     if header is None:
@@ -101,6 +151,16 @@ def read_paired_csv(path) -> PairedSample:
     data = _float_rows(path, records, header)
     if len(data) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows, got {len(data)}")
+    return data
+
+
+def read_paired_csv(path) -> PairedSample:
+    """Read a paired sample; errors name the offending 1-based file line."""
+    path = Path(path)
+    data = _parsed(path, header=True)
+    if data is None:
+        data = _paired_records(path)
+    d = data.shape[1] // 2
     return PairedSample(x=data[:, :d], y=data[:, d:])
 
 
@@ -116,7 +176,9 @@ def write_paired_csv(sample: PairedSample, path) -> None:
 def read_distance_csv(path) -> DistanceMatrix:
     """Read an N x N distance matrix (no header, comma separated)."""
     path = Path(path)
-    data = _float_rows(path, _records(path))
+    data = _parsed(path, header=False)
+    if data is None:
+        data = _float_rows(path, _records(path))
     if not data.size:
         raise ValidationError(f"{path}: file is empty")
     try:

@@ -1,8 +1,10 @@
 """Fuzzing of the three input files, through the readers and through ``cli.main``,
-and of the command lines of ``test``, ``simulate`` and ``oracle``.
+of numpy's CSV parser against the record parser, and of the command lines of
+``test``, ``simulate`` and ``oracle``.
 
 Every input stays tiny (at most 22 pairs, at most 2 replicates, at most 3
-oracle instances), so each example runs in milliseconds.
+oracle instances, one cell of 140 000 characters), so each example runs in
+milliseconds.
 """
 
 import csv
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import pairedgraph.io as pgio
 from pairedgraph import ValidationError, load_scenario, read_paired_csv
 from pairedgraph.cli import main
 
@@ -131,6 +134,83 @@ def test_fuzzed_distance_csv_exits_0_2_or_3(workdir, five_pairs, data):
                     "--dist-matrix", str(path), "--k", "2", "--pvalue", "both",
                     "--n-perm", "20", "--seed", "0")
     assert code in (0, 2, 3)
+
+
+# --- numpy's parser against the record parser ------------------------------
+
+PADDING = ["", " ", "\t", "\x0b", "\x0c", "\xa0", "\x85", "\u3000"]
+BREAKS = ["\n", "\r\n", "\r"]
+kept_cells = st.one_of(
+    numbers,
+    st.tuples(st.sampled_from(PADDING), numbers, st.sampled_from(PADDING)).map("".join),
+    numbers.map(lambda s: f'"{s}"'),
+    st.tuples(numbers, st.sampled_from(BREAKS + ["\n\n"])).map(lambda t: f'"{t[0]}{t[1]}"'),
+    numbers.map(lambda s: f'"{s[:1]}"{s[1:]}'),  # "1"2: csv appends what follows the quote
+)
+# Cells the record parser refuses, twice over those numpy reads as numbers:
+# numpy strips 0x1C-0x1F as whitespace where float does not, and it has no
+# field size limit where csv refuses fields over 131 072 characters.
+spoilt_cells = st.sampled_from(
+    ["nan", "-inf", "1e400", "1\x1c", "\x1f2", " " * 140_000 + "1"] * 2
+    + ["1_0", "\u0661", "\u0663.5", "#1", "", '"', "0x10", "1 2", "\x00", BOM])
+spoilt_lines = st.sampled_from([" ", "\t", ",", "#1,2", "\x1c"])
+
+
+@st.composite
+def loader_text(draw, header: bool):
+    """A paired CSV (``header``) or a distance CSV: 2 to 6 rows of one width and
+    up to two blank lines, each line ended by LF, CRLF or CR; then up to two
+    spoilt places: a cell, a row's width, an inserted line or the header's d."""
+    width = 2 * draw(st.integers(1, 2)) if header else draw(st.integers(1, 4))
+    lines = draw(st.lists(st.lists(kept_cells, min_size=width, max_size=width),
+                          min_size=2, max_size=6))
+    for i in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+        lines.insert(i, [])
+    d = width // 2
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        place = draw(st.sampled_from(["cell", "cell", "width", "line", "header"]))
+        if place == "cell" and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(spoilt_cells)
+        elif place == "width":
+            lines[i] = lines[i][:-1] if draw(st.booleans()) else lines[i] + ["1"]
+        elif place == "line":
+            lines.insert(i, [draw(spoilt_lines)])
+        else:  # rows of one width under a header that asks for another
+            d = 3 - d
+    if header:
+        names = [f"x{j}" for j in range(1, d + 1)] + [f"y{j}" for j in range(1, d + 1)]
+        quote = st.sampled_from(["{}", " {} ", '"{}"', '"{}\n"', '"{}\r\n"', '"\r{}"'])
+        lines.insert(0, [draw(quote).format(name) for name in names])
+    text = "".join(",".join(line) + draw(st.sampled_from(BREAKS)) for line in lines)
+    return draw(st.sampled_from(["", "", BOM])) + text
+
+
+def numpy_rows_are_record_rows(path, header):
+    """numpy's parser either leaves the file to the record parser or gives the
+    record parser's values, bit for bit."""
+    fast = pgio._parsed(path, header)
+    event("numpy's parser" if fast is not None else "record parser")
+    if fast is not None:
+        slow = pgio._paired_records(path) if header else pgio._float_rows(
+            path, pgio._records(path))
+        assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=loader_text(header=True))
+def test_numpy_parser_reads_paired_text_as_the_record_parser(workdir, text):
+    path = workdir / "loader_pairs.csv"
+    path.write_bytes(text.encode())
+    numpy_rows_are_record_rows(path, header=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=loader_text(header=False))
+def test_numpy_parser_reads_distance_text_as_the_record_parser(workdir, text):
+    path = workdir / "loader_dist.csv"
+    path.write_bytes(text.encode())
+    numpy_rows_are_record_rows(path, header=False)
 
 
 @st.composite

@@ -183,6 +183,12 @@ def test_exact_mode_threshold():
         permutation_pvalues(cross, mode="exact")
     with pytest.raises(ExactTooLargeError, match=message):
         exhaustive_edge_counts(cross)
+    # README: "exhaustive for n <= 20"; exact mode refuses the first n above it
+    for n, mode in ((20, "exact"), (21, "monte-carlo")):
+        cross = cross_of(random_cross_edges(rng, n, prob=0.1), n)
+        assert permutation_pvalues(cross, n_perm=10, seed=0).mode == mode
+    with pytest.raises(ExactTooLargeError, match=message.replace("25", "21")):
+        permutation_pvalues(cross, mode="exact")
 
 
 def test_exact_pvalues_invariant_under_pair_relabeling():

@@ -1,10 +1,15 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import squareform
 
+import pairedgraph.io as pgio
 from pairedgraph import (
     PairedSample,
     ValidationError,
+    distance_matrix,
     load_scenario,
     precomputed_distance,
     read_distance_csv,
@@ -55,8 +60,6 @@ def test_paired_csv_reports_line_numbers(tmp_path):
 def test_distance_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     points = rng.standard_normal((5, 2))
-    from pairedgraph import distance_matrix
-
     dist = distance_matrix(points)
     path = tmp_path / "dist.csv"
     square = squareform(dist.condensed)
@@ -133,6 +136,51 @@ def test_distance_csv_rejects_non_square(tmp_path):
         read_distance_csv(path)
 
 
+@pytest.mark.parametrize("row", ["1,2", "1_0,2"])  # numpy's parser reads the first, not the second
+def test_paired_csv_with_one_row_names_the_file(tmp_path, row):
+    path = tmp_path / "pairs.csv"
+    path.write_text(f"x1,y1\n{row}\n")
+    message = f"{path}: need at least 2 data rows, got 1"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        read_paired_csv(path)
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_paired_csv, "x1,y1\n", "need at least 2 data rows, got 0"),
+    (read_paired_csv, "", "file is empty"),
+    (read_paired_csv, "\n\r\n\n", "header must list x1..xd,y1..yd, got 0 columns"),
+    (read_distance_csv, "x1,y1\n", "line 1: column 1: cannot parse 'x1' as a number"),
+    (read_distance_csv, "", "file is empty"),
+    (read_distance_csv, "\n\r\n\n", "file is empty"),
+])
+def test_readers_let_no_warning_out_of_a_file_without_rows(tmp_path, reader, text, message):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            reader(path)
+
+
+def test_clean_files_are_read_by_numpys_parser(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    sample = PairedSample(x=rng.standard_normal((300, 100)), y=rng.standard_normal((300, 100)))
+    pairs, dist = tmp_path / "pairs.csv", tmp_path / "dist.csv"
+    write_paired_csv(sample, pairs)
+    square = squareform(distance_matrix(np.vstack([sample.x, sample.y])).condensed)
+    dist.write_text("".join(",".join(format(v, ".17g") for v in row) + "\n" for row in square))
+    by_records = pgio._paired_records(pairs), pgio._float_rows(dist, pgio._records(dist))
+
+    def no_records(path):
+        raise AssertionError(f"the record parser read {path}")
+
+    monkeypatch.setattr(pgio, "_records", no_records)
+    got = read_paired_csv(pairs)
+    assert np.hstack([got.x, got.y]).tobytes() == by_records[0].tobytes()
+    assert np.array_equal(got.x, sample.x) and np.array_equal(got.y, sample.y)
+    assert read_distance_csv(dist).condensed.tobytes() == squareform(by_records[1]).tobytes()
+
+
 def make_report(**kwargs):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((12, 3))
@@ -190,8 +238,9 @@ def test_run_paired_test_argument_validation():
     y = rng.standard_normal((6, 2))
     with pytest.raises(ValidationError, match="pvalue"):
         run_paired_test(x, y, pvalue="bayesian")
-    with pytest.raises(ValidationError):
-        run_paired_test(x[:1], y[:1])  # single pair cannot be tested
+    for k in ({}, {"k": 1}):  # a single pair cannot be tested, whatever k
+        with pytest.raises(ValidationError, match="^need at least 2 pairs to run a test$"):
+            run_paired_test(x[:1], y[:1], **k)
     with pytest.raises(ValidationError, match="nodes"):
         run_paired_test(x, y, distances=precomputed_distance(np.zeros((4, 4))))
     with pytest.raises(ValidationError, match="seed must be non-negative"):

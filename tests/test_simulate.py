@@ -45,6 +45,12 @@ def test_spec_validates_shapes_and_psd():
     with pytest.raises(ValidationError, match="positive semi-definite"):
         # cross block too strong for the marginals: refused when the spec is built
         scalar_block_spec("normal", 5, 2, rho12=1.2)
+    # eigenvalues 2 + e and -e against the floor -1e-10 * (2 + e): e = 1e-8 is
+    # refused, e = 1e-11 is clipped to 0
+    with pytest.raises(ValidationError, match=r"\(minimum eigenvalue -1\.000e-08\)"):
+        spec_with(gamma1=1.0, gamma2=1.0, gamma12=1.0 + 1e-8)
+    spec = spec_with(gamma1=1.0, gamma2=1.0, gamma12=1.0 + 1e-11)
+    assert np.allclose(spec.factor @ spec.factor.T, [[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValidationError, match="nu1"):
         GeneratorSpec(
             family="normal",
@@ -280,6 +286,10 @@ def test_power_study_includes_hotelling_only_when_d_below_n():
     narrow = scalar_block_spec("normal", 12, 2, mean_diff_norm=1.0)
     result = run_power_study(narrow, replicates=5, k=2, seed=0)
     assert "ht" in result.rejections
+    for d, with_hotelling in ((5, True), (6, False)):  # d = n - 1 and d = n
+        square = scalar_block_spec("normal", 6, d, mean_diff_norm=1.0)
+        result = run_power_study(square, replicates=2, k=2, seed=0)
+        assert ("ht" in result.rejections) is with_hotelling
 
 
 def test_power_detects_a_large_mean_shift():
