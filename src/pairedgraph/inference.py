@@ -9,9 +9,10 @@ are packed pairs-major into uint64 words, 64 swaps to a word, and a
 bit-sliced adder tree sums the link rows (b_pa xor b_pb) and the pair rows
 in int64. A block of B swaps costs O((links + n) B / 64) word operations
 and no n x n array. For n at or below the exact threshold all 2^n swaps are
-enumerated in code order, their words built directly; beyond it, swaps are
-sampled with a seeded PCG64 generator as blocks of at most ``_CHUNK`` bit
-rows and then packed. Both reach one tally loop, which compares every
+enumerated in code order, their words built directly; beyond it, blocks of
+at most ``_CHUNK`` swaps take the top bit of each byte of a seeded PCG64
+generator's raw words (the bits ``Generator.integers(0, 2, dtype=np.uint8)``
+draws) and pack them. Both reach one tally loop, which compares every
 swap's statistics with the observed ones, standardized from the graph's own
 ``r1`` and ``r2``. Each p-value is (extra + hits) / (total + extra): extra =
 0 for enumeration, and extra = 1 for sampling, the add-one estimator, which
@@ -44,7 +45,7 @@ __all__ = [
 
 DEFAULT_EXACT_THRESHOLD = 20
 RNG_ALGORITHM = "PCG64"
-_CHUNK = 1 << 14  # swap bit rows per Monte Carlo draw
+_CHUNK = 1 << 14  # swap rows per draw; _CHUNK * n % 8 == 0 (``_swap_bits``)
 # Swaps per enumeration block. Each swap's counts and statistics take about
 # 75 bytes, so a block peaks near 2.4 MB whatever n is, and half as many
 # blocks as _CHUNK would give save Python overhead.
@@ -221,6 +222,20 @@ def _packed(bits: np.ndarray) -> np.ndarray:
     return buf.view("<u8")
 
 
+def _swap_bits(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    """The bits of ``rng.integers(0, 2, (size, n), dtype=np.uint8)``, read raw.
+
+    At range 2, numpy's bounded uint8 draw never rejects and returns the top
+    bit of each byte of the raw words, low byte first. It keeps a word's
+    unused half for its next draw, so every block but the last must end on
+    a whole word, as every ``_CHUNK`` rows do.
+    """
+    raw = rng.bit_generator.random_raw(-(-size * n // 8)).astype("<u8", copy=False)
+    bits = raw.view(np.uint8)[: size * n].reshape(size, n)
+    bits >>= 7
+    return bits
+
+
 def _require_exact(n: int) -> None:
     """Refuse to enumerate the 2^n swaps of n pairs past the exact threshold."""
     if n > DEFAULT_EXACT_THRESHOLD:
@@ -279,10 +294,7 @@ def permutation_pvalues(
             raise ValidationError("monte-carlo needs at least one permutation")
         rng = np.random.default_rng(seed)
         sizes = [min(_CHUNK, n_perm - start) for start in range(0, n_perm, _CHUNK)]
-        blocks = (
-            (_packed(rng.integers(0, 2, size=(size, n), dtype=np.uint8)), size)
-            for size in sizes
-        )
+        blocks = ((_packed(_swap_bits(rng, size, n)), size) for size in sizes)
         total, extra = n_perm, 1
 
     moments = null_moments(cross)

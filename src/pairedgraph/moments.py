@@ -25,11 +25,12 @@ the counts R1 (both endpoints labeled 1) and R2 (both labeled 2) satisfy
     Var(R1 + R2) = q / 4        Var(R1 - R2) = s / 4
 
 The normal-approximation diagnostic sum_ab is evaluated on the same
-pair-nodes: C is the closed pair adjacency, W the link multiplicities and
-M = C W (n x n, built once), and each link {a, b} reads M only on N[b] and
-W only on the common closed neighbours N[a] & N[b]
-(``condition_diagnostics``). Links are taken a bounded block at a time, so
-no indicator of N[a] | N[b] over all links is ever built.
+pair-nodes (``condition_diagnostics``): with C the closed pair adjacency and
+W the matrix of the links' multiplicities mult, dense n x n tables of M = C W,
+of C's membership and of Y' diag(mult) Y (Y the indicator rows of the links'
+common closed neighbourhoods N[a] & N[b]) are read per link by plain
+indexing. Links are taken a bounded block at a time, so no indicator of
+N[a] | N[b] over all links is ever built.
 
 All counting is done in 64-bit integers; floats appear only in the final
 division, so every moment is an exact binary fraction.
@@ -200,38 +201,16 @@ def null_moments(cross: CrossPairGraph) -> NullMoments:
     )
 
 
-# Links are evaluated in blocks of about this many gathered int64 entries and
-# entries of Y W, so the diagnostics' memory is bounded on dense graphs too.
-_LINK_BUDGET = 1 << 18
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The runs start, start + 1, ..., start + length - 1, concatenated."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
+# Links are evaluated in blocks of about this many gathered entries of N[b],
+# so the diagnostics' gathers stay bounded on dense graphs too; a block's
+# product Y' diag(mult) Y has at most n^2 entries whatever its size.
+_LINK_BUDGET = 1 << 17
 
 
 def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Sums of the consecutive runs of ``values`` with the given lengths."""
     total = np.r_[0, np.cumsum(values)]
     return np.diff(total[np.r_[0, np.cumsum(lengths)]])
-
-
-def _table(mat: sp.csr_matrix):
-    """The stored entries of a square CSR matrix as ascending keys
-    row * n + col, closed by the sentinel key n * n, and their values, closed
-    by 0: the sorted table ``_lookup`` searches."""
-    mat.sort_indices()
-    n = mat.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    return np.r_[rows * n + mat.indices, n * n], np.r_[mat.data, 0]
-
-
-def _lookup(table, query: np.ndarray) -> np.ndarray:
-    """The value stored at every query key of a ``_table``; 0 where none is."""
-    keys, values = table
-    pos = np.searchsorted(keys, query)
-    return np.where(keys[pos] == query, values[pos], 0)
 
 
 def _blocks(cost: np.ndarray, budget: int):
@@ -246,22 +225,25 @@ def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
     """Pair-neighborhood sizes and the two variance numerators.
 
     Pairs are contracted to pair-nodes (``cross.links``): C is the closed
-    pair adjacency, W the symmetric link multiplicity matrix, dp = W 1,
-    D = C dp and M = C W, an n x n product built once. A link e = {a, b}
-    covers |A_e| = dp[a] + dp[b] - W[a, b] edges, and |B_e| = u'dp - u'W u / 2
-    with u the indicator of N[a] | N[b]. With I = N[a] & N[b] (it holds a and
-    b) and S[a] the sum of M[a, j] over j in N[a],
+    pair adjacency, W the symmetric matrix of the link multiplicities mult,
+    dp = W 1, D = C dp and M = C W. A link e = {a, b} covers |A_e| = dp[a] +
+    dp[b] - W[a, b] edges, and |B_e| = u'dp - u'W u / 2 with u the indicator
+    of N[a] | N[b]. With y_e the indicator of I_e = N[a] & N[b] (it holds a
+    and b) and S[a] the sum of M[a, j] over j in N[a],
 
-        u'dp  = D[a] + D[b] - sum_{t in I} dp[t]
+        u'dp  = D[a] + D[b] - sum_{t in I_e} dp[t]
         u'W u = S[a] + S[b] + 2 sum_{j in N[b]} M[a, j]
-                - 2 sum_{t in I} (M[a, t] + M[b, t]) + sum_{s, t in I} W[s, t],
+                - 2 sum_{t in I_e} (M[a, t] + M[b, t]) + y_e'W y_e,
 
-    so per link only N[b] (the smaller closed neighborhood of the two) is
-    gathered from M, and the last term is the row sum of Y * (Y W), Y the
-    indicator rows of the sets I. Links are taken in blocks of about
-    ``_LINK_BUDGET`` gathered entries and entries of Y W, so memory stays
-    bounded on dense graphs too. Each link is weighted by W[a, b]; every
-    count is int64.
+    and as a link f lies inside I_e exactly when a and b lie in I_f,
+    y_e'W y_e = 2 (Y' diag(mult) Y)[a, b], Y the links x n indicator of the
+    sets I_f. Per link only N[b] (the smaller closed neighborhood) is
+    gathered from dense n x n tables of M and of C's membership, and
+    Y' diag(mult) Y is summed into a third, in blocks of about ``_LINK_BUDGET``
+    gathered entries. The tables take 2 * 8 n^2 + n^2 bytes, below the
+    k-MST's three E-length 8-byte arrays on the same 2n nodes (about 48 n^2
+    bytes). Each link is weighted by W[a, b]; every count is int64, and no
+    BLAS routine is called.
     """
     n, q = cross.n_pairs, cross.q
     pa, pb, w_link, _ = cross.links
@@ -276,36 +258,35 @@ def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
         shape=(n, n),
     )
     c = sp.csr_matrix((np.ones_like(w.data), w.indices, w.indptr), shape=(n, n))
-    c_keys = _table(c)[0]  # C's entries, as keys row * n + col
-    m_at = _table(c @ w)
     size = np.diff(c.indptr)  # |N[r]|
+    rows = np.repeat(nodes, size)
+    m = (c @ w).toarray()
+    member = np.zeros((n, n), dtype=bool)  # j in N[r]
+    member[rows, c.indices] = True
     d = c @ dp
-    s = _run_sums(_lookup(m_at, c_keys[:-1]), size)
+    s = _run_sums(m[rows, c.indices], size)
+    g = np.zeros((n, n), dtype=np.int64)  # Y' diag(mult) Y over all links
 
     a, b = np.where(size[pa] < size[pb], (pb, pa), (pa, pb))
-    # a row of Y W has at most min(n, sum of |N[t]| over t in N[b]) entries
-    cost = size[b] + np.minimum(c @ size, n)[b]
     sizes_b = np.empty(a.size, np.int64)
-    for lo, hi in _blocks(cost, _LINK_BUDGET):
+    for lo, hi in _blocks(size[b], _LINK_BUDGET):
         a_, b_ = a[lo:hi], b[lo:hi]
         link = np.repeat(np.arange(hi - lo), size[b_])
-        j = c.indices[_ranges(c.indptr[b_], size[b_])]  # N[b] of every link
-        aj = a_[link] * n + j
-        m_aj = _lookup(m_at, aj)
-        common = c_keys[np.searchsorted(c_keys, aj)] == aj  # j in I
+        j = c[b_].indices  # N[b] of every link
+        m_aj = m[a_[link], j]
+        common = member[a_[link], j]  # j in I
         t, owner = j[common], link[common]
         i_size = np.bincount(owner, minlength=hi - lo)
-        y = sp.csr_matrix(
-            (np.ones_like(t), t, np.r_[0, np.cumsum(i_size)]), shape=(hi - lo, n)
-        )
-        m_i = m_aj[common] + _lookup(m_at, b_[owner] * n + t)
-        w_ii = np.asarray(y.multiply(y @ w).sum(axis=1)).ravel()  # W over I x I
-        u_dp = d[a_] + d[b_] - y @ dp
-        u_w_u = (
-            s[a_] + s[b_] + 2 * _run_sums(m_aj, size[b_])
-            - 2 * _run_sums(m_i, i_size) + w_ii
-        )
-        sizes_b[lo:hi] = u_dp - u_w_u // 2
+        m_i = m_aj[common] + m[b_[owner], t]
+        u_dp = d[a_] + d[b_] - _run_sums(dp[t], i_size)
+        u_w_u = s[a_] + s[b_] + 2 * _run_sums(m_aj, size[b_]) - 2 * _run_sums(m_i, i_size)
+        sizes_b[lo:hi] = u_dp - u_w_u // 2  # u'W u less its y'W y term, read below
+        indptr = np.r_[0, np.cumsum(i_size)]
+        y = sp.csr_matrix((np.ones_like(t), t, indptr), shape=(hi - lo, n))
+        wy = sp.csr_matrix((w_link[lo:hi][owner], t, indptr), shape=(hi - lo, n))
+        prod = (y.T @ wy).tocoo()  # no repeated (row, col): += adds each once
+        g[prod.row, prod.col] += prod.data
+    sizes_b -= g[a, b]
     sizes_a = dp[pa] + dp[pb] - w_link
     sum_ab = int(w_link @ (sizes_a * sizes_b))
     ratio = float(sum_ab / q**1.5) if q > 0 else None

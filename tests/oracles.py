@@ -10,8 +10,8 @@ float pair matrix), edge-pair key matching for the variance count q, the
 pair-of-pairs census of q3 as a loop over edge pairs, the condition
 diagnostics' earlier sparse form (an m_links x n neighbourhood indicator
 times the link matrix), the paired-CSV reader's earlier cell-by-cell record
-loop, and the generator's earlier draw through the dense 2d x 2d stacked
-covariance.
+loop, the generator's earlier draw through the dense 2d x 2d stacked
+covariance, and the Monte Carlo swap bits drawn one bounded uint8 at a time.
 """
 
 import csv
@@ -151,6 +151,12 @@ def empirical_moments(edges, n):
         "var_sum": var_sum,
         "var_diff": var_diff,
     }
+
+
+def integers_swap_bits(rng, size, n):
+    """(size, n) Monte Carlo swap bits as ``Generator.integers`` draws them,
+    one bounded uint8 per bit."""
+    return rng.integers(0, 2, size=(size, n), dtype=np.uint8)
 
 
 def exact_pvalues(edges, n, strict=False):

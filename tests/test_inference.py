@@ -28,6 +28,7 @@ from oracles import (
     enumerate_counts,
     exact_pvalues,
     gather_counts,
+    integers_swap_bits,
     mirror_counts,
     random_cross_edges,
     spin_dtype,
@@ -431,6 +432,57 @@ def test_column_counts_match_unpacked_bits(n_rows):
     bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").astype(np.int64)
     got = inference._weighted_bit_sums(lambda i: rows[i], weights, 150)
     np.testing.assert_array_equal(got, (weights @ bits)[:150])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2**40])
+@pytest.mark.parametrize(
+    "size, n",
+    [(1, 1), (7, 1), (5, 3), (3, 9), (1, 7), (9, 7), (3, 21), (11, 33),
+     (inference._CHUNK, 1), (inference._CHUNK, 21)],
+)
+def test_swap_bits_equal_the_integers_draw(seed, size, n):
+    # size * n is not a multiple of 8 in most cases: the last word is read
+    # only in part, as numpy's own draw leaves its unused bytes
+    got = inference._swap_bits(np.random.default_rng(seed), size, n)
+    want = integers_swap_bits(np.random.default_rng(seed), size, n)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 7, 33])
+def test_swap_bit_blocks_continue_the_integers_stream(n):
+    # full blocks end on a whole raw word, so consecutive draws from one
+    # generator read the stream as numpy's consecutive draws do
+    assert inference._CHUNK * n % 8 == 0
+    ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+    for size in (inference._CHUNK, inference._CHUNK, 5):
+        np.testing.assert_array_equal(
+            inference._swap_bits(ours, size, n), integers_swap_bits(theirs, size, n)
+        )
+
+
+@pytest.mark.parametrize("n, seed", [(21, 0), (33, 2**40)])
+def test_monte_carlo_pvalues_equal_a_tally_over_integers_blocks(n, seed):
+    # three blocks: two full ones and a last one of 5 swaps
+    n_perm = 2 * inference._CHUNK + 5
+    cross = shifted_kmst(n)
+    got = permutation_pvalues(cross, mode="monte-carlo", n_perm=n_perm, seed=seed)
+    moments = null_moments(cross)
+    rng = np.random.default_rng(seed)
+    bits = np.concatenate([
+        integers_swap_bits(rng, size, n) for size in (inference._CHUNK, inference._CHUNK, 5)
+    ])
+    z_m, z_s, z_g = standardize(*gather_counts(cross, bits), moments)
+    o_m, o_s, o_g = standardize(cross.r1, cross.r2, moments)
+    hits = (
+        np.count_nonzero(z_m >= o_m),
+        np.count_nonzero(np.abs(z_s) >= abs(o_s)),
+        np.count_nonzero(z_g >= o_g),
+    )
+    want = [(1 + int(h)) / (n_perm + 1) for h in hits]
+    assert [repr(p) for p in (got.p_m_perm, got.p_s_perm, got.p_g_perm)] == [
+        repr(p) for p in want
+    ]
 
 
 def test_hub_graph_counts_exercise_every_magnitude_bit():

@@ -325,8 +325,9 @@ def test_diagnostics_equal_the_sparse_form(family):
 
 def test_diagnostics_memory_at_most_half_the_sparse_form():
     # The sparse form multiplies an m_links x n indicator of N[a] | N[b] by
-    # W (70 MB traced at n = 1000); per pair-node only N[b] and the common
-    # neighbours are expanded, a block of links at a time (7 MB).
+    # W (70 MB traced at n = 1000); per pair-node only N[b] is gathered, a
+    # block of links at a time, from dense n x n tables (22 MB, 17 of them
+    # the tables).
     cross = kmst_cross(1000)
     new = traced_peak(lambda: condition_diagnostics(cross))
     old = traced_peak(lambda: sparse_condition_diagnostics(cross))
@@ -337,12 +338,26 @@ def test_diagnostics_memory_on_a_dense_graph():
     # k = n / 2: every pair-node reaches most others, so the common
     # neighbourhoods hold dozens of pair-nodes per link. Taken all at once
     # they would outgrow the sparse form (25 against 20 MB traced); the link
-    # blocks keep the peak near 12 MB.
+    # blocks keep the peak near 10 MB.
     cross = kmst_cross(100, k=50)
     assert_diagnostics_match_sparse_form(cross)
     new = traced_peak(lambda: condition_diagnostics(cross))
     old = traced_peak(lambda: sparse_condition_diagnostics(cross))
     assert new <= 0.8 * old
+
+
+def test_diagnostics_memory_below_the_kmst():
+    # The diagnostics' dense n x n tables take 17 n^2 bytes; the k-MST on the
+    # same 2n nodes holds three E-length 8-byte arrays, about 48 n^2 bytes,
+    # so a full test's peak stays the graph's.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((1500, 20))
+    y = 0.8 * x + 0.6 * rng.standard_normal((1500, 20))
+    dist = distance_matrix(np.vstack([x, y]))
+    cross = extract_cross_pair_graph(build_kmst(dist, 5))
+    assert traced_peak(lambda: condition_diagnostics(cross)) < traced_peak(
+        lambda: build_kmst(dist, 5)
+    )
 
 
 @pytest.mark.parametrize("budget", [1, 40])
