@@ -24,6 +24,7 @@ __all__ = [
 
 _METRICS = {"euclidean": "euclidean", "manhattan": "cityblock"}
 _KEY_MAX = np.iinfo(np.int64).max  # build_kmst's sort keys reach E**2 - 1
+_RANK_SLICE = 1 << 16  # ranks written at a time, so no E-length arange is held
 
 
 class DisconnectedError(RuntimeError):
@@ -49,13 +50,24 @@ class DistanceMatrix:
     metric: str
 
     def __post_init__(self) -> None:
-        d = np.array(self.condensed, dtype=float)  # a private copy
+        self._own(np.array(self.condensed, dtype=float))  # a private copy
+
+    def _own(self, d: np.ndarray) -> None:
+        """Check ``d`` and keep it, read-only, as the condensed distances."""
         object.__setattr__(self, "condensed", d)
         n = self.n_nodes
         if d.ndim != 1 or n < 2 or n * (n - 1) // 2 != d.size:
             raise ValidationError(f"need N(N-1)/2 distances, N >= 2; got {d.shape}")
         _check_entries(d)
         d.setflags(write=False)
+
+    @classmethod
+    def _adopt(cls, d: np.ndarray, metric: str) -> "DistanceMatrix":
+        """A DistanceMatrix over a fresh float vector no caller holds, not copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "metric", metric)
+        out._own(d)
+        return out
 
     @property
     def n_nodes(self) -> int:
@@ -80,7 +92,7 @@ def distance_matrix(pooled, metric: str = "euclidean") -> DistanceMatrix:
             "distances between the finite pooled observations overflow float64 "
             f"(largest absolute coordinate {np.abs(points).max():.4g})"
         )
-    return DistanceMatrix(dist, metric)
+    return DistanceMatrix._adopt(dist, metric)
 
 
 def precomputed_distance(matrix) -> DistanceMatrix:
@@ -95,7 +107,7 @@ def precomputed_distance(matrix) -> DistanceMatrix:
         raise ValidationError("distance matrix is not symmetric")
     if np.any(np.diag(d) != 0.0):
         raise ValidationError("distance matrix diagonal must be zero")
-    return DistanceMatrix(squareform(d, checks=False), "precomputed")
+    return DistanceMatrix._adopt(squareform(d, checks=False), "precomputed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +146,10 @@ def _edge_order(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions sorted by (w, position), and w sorted; only ties are re-sorted."""
     order = np.argsort(w)  # equal weights come out in any order
     w = w[order]
-    head = np.r_[True, w[1:] != w[:-1]]  # slot s starts an equal-weight run
+    head = np.ones(w.size, dtype=bool)  # slot s starts an equal-weight run
+    np.not_equal(w[1:], w[:-1], out=head[1:])
+    if head.all():  # no ties, so no run masks to build
+        return order, w
     slots = np.flatnonzero(~(head & np.r_[head[1:], True]))  # in a tied run
     key = np.maximum.accumulate(np.where(head[slots], slots, 0)) * w.size
     key += order[slots]  # distinct (run start, position) keys
@@ -171,7 +186,9 @@ def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
     if gone * gone > _KEY_MAX:
         raise ValidationError(f"N={n} nodes overflow the k-MST's int64 sort keys")
     order, rank = _edge_order(dist.condensed)  # order[r]: the edge of rank r
-    rank[order] = np.arange(gone)  # reuses the sorted weights' buffer
+    for start in range(0, gone, _RANK_SLICE):  # reuses the sorted weights' buffer
+        stop = min(start + _RANK_SLICE, gone)
+        rank[order[start:stop]] = np.arange(start, stop)
     chosen = []
     for level in range(1, k + 1):
         tree = linkage(rank, method="single")

@@ -7,12 +7,14 @@ the spin sigma = 1 - 2 b, 2 (R1 - R2) = c' sigma and 4 (R1 + R2) = 2m +
 ``_swap_counts`` reads both as weighted counts of set bits: the swap bits
 are packed pairs-major into uint64 words, 64 swaps to a word, and a
 bit-sliced adder tree sums the link rows (b_pa xor b_pb) and the pair rows
-in int64. A block of B swaps costs O((links + n) B / 64) word operations
-and no n x n array. For n at or below the exact threshold all 2^n swaps are
-enumerated in code order, their words built directly; beyond it, blocks of
-at most ``_CHUNK`` swaps take the top bit of each byte of a seeded PCG64
-generator's raw words (the bits ``Generator.integers(0, 2, dtype=np.uint8)``
-draws) and pack them. Both reach one tally loop, which compares every
+in int64, gathering and counting ``_ROW_CHUNK`` rows at a time. A block of
+B swaps costs O((links + n) B / 64) word operations and no n x n array, and
+its working set is bounded by n and B, not by the link count. For n at or
+below the exact threshold all 2^n swaps are enumerated in code order, their
+words built directly; beyond it, blocks of at most ``_CHUNK`` swaps take
+the top bit of each byte of a seeded PCG64 generator's raw words (the bits
+``Generator.integers(0, 2, dtype=np.uint8)`` draws), ``_SUB`` swap rows at
+a time, and pack them. Both reach one tally loop, which compares every
 swap's statistics with the observed ones, standardized from the graph's own
 ``r1`` and ``r2``. Each p-value is (extra + hits) / (total + extra): extra =
 0 for enumeration, and extra = 1 for sampling, the add-one estimator, which
@@ -45,7 +47,17 @@ __all__ = [
 
 DEFAULT_EXACT_THRESHOLD = 20
 RNG_ALGORITHM = "PCG64"
-_CHUNK = 1 << 14  # swap rows per draw; _CHUNK * n % 8 == 0 (``_swap_bits``)
+# Swaps per Monte Carlo block: each numpy call on a packed row covers
+# _CHUNK / 64 = 256 words, which keeps the per-call overhead small.
+_CHUNK = 1 << 14
+# Swap rows per draw. A multiple of 64 that divides _CHUNK, so a sub-block
+# fills whole words of its block, and _SUB * n % 8 == 0 for every n, so
+# every sub-block but a run's last ends on a whole raw word (``_swap_bits``).
+# The draw's uint8 rows take _SUB * n bytes, an eighth of a block's.
+_SUB = 1 << 11
+# Link or pair rows gathered and counted at a time: 512 rows of a block's
+# 256 words take 1 MiB, whatever the graph's link count.
+_ROW_CHUNK = 1 << 9
 # Swaps per enumeration block. Each swap's counts and statistics take about
 # 75 bytes, so a block peaks near 2.4 MB whatever n is, and half as many
 # blocks as _CHUNK would give save Python overhead.
@@ -174,18 +186,23 @@ def _unsliced(planes: list, size: int) -> np.ndarray:
 def _weighted_bit_sums(rows_of, weights: np.ndarray, size: int) -> np.ndarray:
     """sum over r of weights[r] times bit j of row r, for each swap j < size.
 
-    ``rows_of(index)`` gathers the packed rows. A negative weight counts the
-    row's complement, since w b = |w| (1 - b) - |w|, and the rows with bit k
-    of |w| set add their count shifted up by k planes. Exact in int64.
+    ``rows_of(index)`` gathers the packed rows into a fresh array. A
+    negative weight counts the row's complement, since w b = |w| (1 - b) -
+    |w|, and the rows with bit k of |w| set add their count shifted up by k
+    planes. They are gathered and counted ``_ROW_CHUNK`` at a time, each
+    chunk's count folded into the running planes, so the working set does
+    not grow with the number of rows. Exact in int64.
     """
     magnitude = np.abs(weights)
     flip = np.where(weights < 0, _ONES, np.uint64(0))
     planes = []
     for k in range(int(magnitude.max(initial=0)).bit_length()):
         index = np.flatnonzero(magnitude >> k & 1)
-        rows = rows_of(index)
-        rows ^= flip[index, None]
-        planes = _add_counts(planes, [None] * k + _count_planes(rows))
+        for start in range(0, index.size, _ROW_CHUNK):
+            part = index[start : start + _ROW_CHUNK]
+            rows = rows_of(part)
+            rows ^= flip[part, None]
+            planes = _add_counts(planes, [None] * k + _count_planes(rows))
     return _unsliced(planes, size) - int(magnitude[weights < 0].sum())
 
 
@@ -204,21 +221,45 @@ def _swap_counts(cross: CrossPairGraph, words: np.ndarray, size: int):
     """
     pa, pb, _, w = cross.links
     c = cross.c
-    linked = _weighted_bit_sums(lambda i: words[pa[i]] ^ words[pb[i]], w, size)
+
+    def linked_rows(i):  # the XOR is written into the first gather
+        rows = words[pa[i]]
+        rows ^= words[pb[i]]
+        return rows
+
+    linked = _weighted_bit_sums(linked_rows, w, size)
     total = 2 * cross.n_edges + 2 * int(w.sum()) - 4 * linked  # 4 (R1 + R2)
     diff = int(c.sum()) - 2 * _weighted_bit_sums(lambda i: words[i], c, size)
     return (total + 2 * diff) // 8, (total - 2 * diff) // 8
 
 
-def _packed(bits: np.ndarray) -> np.ndarray:
-    """(B, n) swap bit rows as (n, ceil(B / 64)) words, pairs-major, zero padded."""
+def _pack_into(buf: np.ndarray, bits: np.ndarray) -> None:
+    """Pack (B, n) swap bit rows into the leading ceil(B / 8) bytes of buf's n rows."""
     size, n = bits.shape
     whole = size // 8
-    buf = np.zeros((n, 8 * -(-size // _WORD)), dtype=np.uint8)
     rows = bits[: 8 * whole].reshape(whole, 8, n)
     buf[:, :whole] = np.einsum("jin,i->nj", rows, _BYTE_PLACES)
     if size % 8:
         buf[:, whole] = np.einsum("in,i->n", bits[8 * whole :], _BYTE_PLACES[: size % 8])
+
+
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """(B, n) swap bit rows as (n, ceil(B / 64)) words, pairs-major, zero padded."""
+    size, n = bits.shape
+    buf = np.zeros((n, 8 * -(-size // _WORD)), dtype=np.uint8)
+    _pack_into(buf, bits)
+    return buf.view("<u8")
+
+
+def _drawn_words(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    """``_packed(_swap_bits(rng, size, n))``, drawn and packed ``_SUB`` rows at a time.
+
+    A sub-block starts on a word of the block, so its bytes land where the
+    whole block's would.
+    """
+    buf = np.zeros((n, 8 * -(-size // _WORD)), dtype=np.uint8)
+    for start in range(0, size, _SUB):
+        _pack_into(buf[:, start // 8 :], _swap_bits(rng, min(_SUB, size - start), n))
     return buf.view("<u8")
 
 
@@ -228,7 +269,7 @@ def _swap_bits(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
     At range 2, numpy's bounded uint8 draw never rejects and returns the top
     bit of each byte of the raw words, low byte first. It keeps a word's
     unused half for its next draw, so every block but the last must end on
-    a whole word, as every ``_CHUNK`` rows do.
+    a whole word, as every ``_SUB`` rows do.
     """
     raw = rng.bit_generator.random_raw(-(-size * n // 8)).astype("<u8", copy=False)
     bits = raw.view(np.uint8)[: size * n].reshape(size, n)
@@ -293,8 +334,8 @@ def permutation_pvalues(
         if n_perm < 1:
             raise ValidationError("monte-carlo needs at least one permutation")
         rng = np.random.default_rng(seed)
-        sizes = [min(_CHUNK, n_perm - start) for start in range(0, n_perm, _CHUNK)]
-        blocks = ((_packed(_swap_bits(rng, size, n)), size) for size in sizes)
+        sizes = (min(_CHUNK, n_perm - start) for start in range(0, n_perm, _CHUNK))
+        blocks = ((_drawn_words(rng, size, n), size) for size in sizes)
         total, extra = n_perm, 1
 
     moments = null_moments(cross)

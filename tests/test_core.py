@@ -76,6 +76,14 @@ def test_types_are_immutable():
     with pytest.raises(ValueError):
         sample.x[0, 0] = 1.0
 
+    # a distance matrix keeps its own read-only copy of the caller's vector
+    condensed = np.arange(1.0, 7.0)
+    dist = DistanceMatrix(condensed, "precomputed")
+    condensed[:] = 0.0
+    np.testing.assert_array_equal(dist.condensed, np.arange(1.0, 7.0))
+    with pytest.raises(ValueError):
+        dist.condensed[0] = 0.0
+
     # the cross-pair graph and the pair form derived from it cannot drift apart
     cross = extract_cross_pair_graph(SimilarityGraph(np.array([[0, 1], [0, 3]]), 4))
     for arr in (cross.edges, cross.deg, *cross.links, cross.c):

@@ -18,6 +18,7 @@ from pairedgraph import (
 )
 
 from oracles import key_sort_order, kruskal_kmst, min_spanning_weight
+from test_moments import traced_peak
 
 
 def square(dist):
@@ -125,6 +126,7 @@ def test_precomputed_distance_is_condensed():
     assert (d.n_nodes, d.metric) == (3, "precomputed")
     matrix[0, 1] = 9.0  # the caller's matrix is not shared
     assert d.condensed[0] == 1.0
+    assert not d.condensed.flags.writeable
 
 
 @pytest.mark.parametrize("condensed", [[], [1.0, 2.0], np.zeros((1, 1)), np.zeros(5)])
@@ -323,6 +325,18 @@ def test_edge_order_matches_the_full_key_sort(w):
     assert np.array_equal(ranked, w[order])
 
 
+def test_edge_order_breaks_a_tie_between_the_two_largest_weights():
+    # the only tie is the last slot's run; argsort returns that pair out of
+    # position order for some of these permutations
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        w = rng.permutation(200).astype(float)
+        w[w == 199] = 198
+        order, ranked = graph._edge_order(w)
+        assert np.array_equal(order, key_sort_order(w))
+        assert np.array_equal(ranked, w[order])
+
+
 def test_edge_order_matches_the_full_key_sort_on_grids():
     # {0, 1, 2}^d points: long runs of equal distances
     rng = np.random.default_rng(36)
@@ -407,6 +421,19 @@ def test_kmst_matches_kruskal_at_a_thousand_pairs():
     rng = np.random.default_rng(33)
     dist = distance_matrix(rng.standard_normal((2000, 20)))
     assert same_as_kruskal(dist, 5) is None
+
+
+def test_distances_and_kmst_hold_few_edge_length_arrays():
+    # E = N(N-1)/2 = 1 999 000 distances of 8 bytes at N = 2000
+    pooled = np.random.default_rng(33).standard_normal((2000, 20))
+    eight_e = 8 * 2000 * 1999 // 2
+    # pdist's vector is kept, not copied (copying it peaked at 2 x 8E), and
+    # only one-byte masks check it
+    assert traced_peak(lambda: distance_matrix(pooled)) < 1.3 * eight_e
+    # the order and the ranks written over the sorted weights: 2 x 8E and
+    # one-byte masks; an E-length arange of ranks made it 3 x 8E
+    dist = distance_matrix(pooled)
+    assert traced_peak(lambda: build_kmst(dist, 5)) <= 2.25 * eight_e
 
 
 def test_similarity_graph_rejects_junk():

@@ -419,8 +419,9 @@ def test_padding_bits_are_never_counted(size):
         np.testing.assert_array_equal(g, w)
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 5, 1000])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 5, 1000, 2 * inference._ROW_CHUNK + 1])
 def test_column_counts_match_unpacked_bits(n_rows):
+    # 2 * _ROW_CHUNK + 1 rows are gathered and counted in three chunks
     rng = np.random.default_rng(n_rows)
     rows = rng.integers(0, 1 << 63, size=(n_rows, 3), dtype=np.uint64)
     rows[: n_rows // 2] |= inference._ONES << np.uint64(63)  # set the top bits too
@@ -459,30 +460,45 @@ def test_swap_bit_blocks_continue_the_integers_stream(n):
         np.testing.assert_array_equal(
             inference._swap_bits(ours, size, n), integers_swap_bits(theirs, size, n)
         )
+    # so do sub-blocks: a block drawn and packed _SUB rows at a time, after a
+    # full block and ending one row below or above a sub-block boundary,
+    # unpacks to the rows of numpy's draw of the whole block
+    assert inference._SUB % 64 == 0 and inference._CHUNK % inference._SUB == 0
+    for size in (2 * inference._SUB - 1, 2 * inference._SUB + 1):
+        ours, theirs = np.random.default_rng(size), np.random.default_rng(size)
+        for block in (inference._CHUNK, size):
+            words = inference._drawn_words(ours, block, n)
+            assert words.shape == (n, -(-block // 64))
+            np.testing.assert_array_equal(
+                unpacked(words, block), integers_swap_bits(theirs, block, n)
+            )
 
 
 @pytest.mark.parametrize("n, seed", [(21, 0), (33, 2**40)])
 def test_monte_carlo_pvalues_equal_a_tally_over_integers_blocks(n, seed):
-    # three blocks: two full ones and a last one of 5 swaps
-    n_perm = 2 * inference._CHUNK + 5
     cross = shifted_kmst(n)
-    got = permutation_pvalues(cross, mode="monte-carlo", n_perm=n_perm, seed=seed)
     moments = null_moments(cross)
-    rng = np.random.default_rng(seed)
-    bits = np.concatenate([
-        integers_swap_bits(rng, size, n) for size in (inference._CHUNK, inference._CHUNK, 5)
-    ])
-    z_m, z_s, z_g = standardize(*gather_counts(cross, bits), moments)
     o_m, o_s, o_g = standardize(cross.r1, cross.r2, moments)
-    hits = (
-        np.count_nonzero(z_m >= o_m),
-        np.count_nonzero(np.abs(z_s) >= abs(o_s)),
-        np.count_nonzero(z_g >= o_g),
-    )
-    want = [(1 + int(h)) / (n_perm + 1) for h in hits]
-    assert [repr(p) for p in (got.p_m_perm, got.p_s_perm, got.p_g_perm)] == [
-        repr(p) for p in want
-    ]
+    for blocks in (
+        # two full blocks and a last one of 5 swaps
+        (inference._CHUNK, inference._CHUNK, 5),
+        # a full block and a last one that ends 5 swaps into its second sub-block
+        (inference._CHUNK, inference._SUB + 5),
+    ):
+        n_perm = sum(blocks)
+        got = permutation_pvalues(cross, mode="monte-carlo", n_perm=n_perm, seed=seed)
+        rng = np.random.default_rng(seed)
+        bits = np.concatenate([integers_swap_bits(rng, size, n) for size in blocks])
+        z_m, z_s, z_g = standardize(*gather_counts(cross, bits), moments)
+        hits = (
+            np.count_nonzero(z_m >= o_m),
+            np.count_nonzero(np.abs(z_s) >= abs(o_s)),
+            np.count_nonzero(z_g >= o_g),
+        )
+        want = [(1 + int(h)) / (n_perm + 1) for h in hits]
+        assert [repr(p) for p in (got.p_m_perm, got.p_s_perm, got.p_g_perm)] == [
+            repr(p) for p in want
+        ]
 
 
 def test_hub_graph_counts_exercise_every_magnitude_bit():
@@ -510,12 +526,14 @@ def test_enumerated_words_follow_code_order(n):
 
 
 def test_swap_null_memory_stays_near_the_draw():
-    # A Monte Carlo block packs its B x n uint8 draw into B n / 8 bytes of
-    # words and drops it. Counting gathers the link and pair rows, about
-    # (links + n) B / 8 bytes (1.4 B n here, 9.5 links a pair), the adder
-    # tree's first level takes as much again, and ten or so B-long int64 and
-    # float64 arrays hold the counts and statistics (0.3 B n). That comes to
-    # about 3.5 B n (3.8 B n measured); the dense spin form took 9.2 B n.
+    # A Monte Carlo block draws its B x n uint8 rows _SUB at a time (0.2 B n
+    # here) and packs them into B n / 8 bytes of words. Counting gathers
+    # _ROW_CHUNK link or pair rows at a time, B / 8 bytes each (0.2 B n
+    # here, whatever the links), XORs them into the first gather, and the
+    # adder tree's first level takes as much again. Ten or so B-long int64
+    # and float64 arrays hold the counts and statistics (0.3 B n). That comes
+    # to about 0.9 B n (0.85 B n measured); gathering every row at once took
+    # 3.8 B n, and the dense spin form 9.2 B n.
     n, n_perm = 300, 10_000
     cross = shifted_kmst(n, k=5)
     peak = traced_peak(lambda: permutation_pvalues(cross, n_perm=n_perm, seed=1))
@@ -525,6 +543,42 @@ def test_swap_null_memory_stays_near_the_draw():
     cross = shifted_kmst(20, k=5)
     peak = traced_peak(lambda: permutation_pvalues(cross, mode="exact"))
     assert peak < 100 * inference._ENUMERATED_CHUNK
+
+
+def test_swap_null_memory_does_not_grow_with_the_links():
+    # about 34 links a pair: gathering every link row at once peaked at
+    # 34 MiB here, 7 times the bound, and grew by 3.4 MiB per 1000 links.
+    # A block's words, one sub-block's draw, the row chunks and the B-long
+    # counts bound it instead.
+    n, n_perm = 300, 10_000
+    cross = shifted_kmst(n, k=20)
+    assert cross.links[0].size > 30 * n
+    peak = traced_peak(lambda: permutation_pvalues(cross, n_perm=n_perm, seed=1))
+    chunk = inference._CHUNK
+    assert peak < n * chunk // 4 + inference._ROW_CHUNK * chunk // 4 + 100 * chunk
+
+
+def test_monte_carlo_block_sizes_are_not_listed_up_front(monkeypatch):
+    # a run of 10^10 swaps draws its first block at once; listing the
+    # 610 352 block sizes first peaked at 5.4 MiB, and at 10^20 swaps the
+    # list would outgrow memory before one swap was drawn
+    class FirstBlock(Exception):
+        pass
+
+    def first_block(cross, words, size):
+        raise FirstBlock(size)
+
+    cross = shifted_kmst(21)
+    monkeypatch.setattr(inference, "_swap_counts", first_block)
+    caught = []
+
+    def run():
+        with pytest.raises(FirstBlock) as info:
+            permutation_pvalues(cross, n_perm=10**10, seed=0)
+        caught.append(info.value.args)
+
+    assert traced_peak(run) < 1 << 20
+    assert caught == [(inference._CHUNK,)]
 
 
 @pytest.mark.parametrize("strict", [False, True])
