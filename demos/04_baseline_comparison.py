@@ -1,9 +1,7 @@
 """Graph tests versus classical baselines when the dimension grows.
 
 Hotelling's T2 needs n > d and weakens as d approaches n; the graph tests
-only need a distance, so they run at any dimension. The second section
-shows the per-variable paired t-test with Bonferroni correction, the other
-classical fallback.
+only need a distance, so they run at any dimension.
 """
 
 import numpy as np
@@ -11,9 +9,7 @@ import numpy as np
 from pairedgraph import (
     DimensionError,
     PairedSample,
-    bonferroni,
     hotelling_paired,
-    paired_t_test,
     run_paired_test,
 )
 
@@ -33,13 +29,3 @@ for d in (10, 30, 50, 100, 500):
         ht = "-"  # not applicable once d >= n
     print(f"{d:>6}{report.pvalues.p_m_asym:>12.4f}"
           f"{report.pvalues.p_g_asym:>12.4f}{ht:>14}")
-
-print("\nper-variable paired t-tests with Bonferroni, d = 22, sparse signal:")
-d = 22
-x = rng.standard_normal((41, d))
-y = x + 0.3 * rng.standard_normal((41, d))
-y[:, 3] += 0.25  # only one coordinate actually moves
-pvals = [paired_t_test(x[:, j], y[:, j])[1] for j in range(d)]
-rejected = bonferroni(pvals, 0.05)
-print("smallest p-value:", min(pvals))
-print("coordinates rejected after correction:", np.flatnonzero(rejected).tolist())

@@ -1,22 +1,19 @@
-"""Classical comparison tests: paired Hotelling's T2 and the paired t-test."""
+"""The classical comparison test: paired Hotelling's T2."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtrc, stdtr
+from scipy.special import fdtrc
 
 from .core import PairedSample, ValidationError
 
 __all__ = [
     "DimensionError",
     "SingularCovarianceError",
-    "ZeroVarianceError",
     "HotellingReport",
     "hotelling_paired",
-    "paired_t_test",
-    "bonferroni",
 ]
 
 _RCOND_FLOOR = 1e-12
@@ -28,10 +25,6 @@ class DimensionError(ValidationError):
 
 class SingularCovarianceError(ValidationError):
     """The difference covariance is numerically singular."""
-
-
-class ZeroVarianceError(RuntimeError):
-    """The differences are constant and nonzero, so t is unbounded."""
 
 
 @dataclass(frozen=True)
@@ -68,40 +61,8 @@ def hotelling_paired(sample: PairedSample) -> HotellingReport:
         )
     t2 = float(n * dbar @ np.linalg.solve(cov, dbar))
     f_stat = t2 * (n - d) / (d * (n - 1))
-    # fdtrc and stdtr are the ufuncs behind scipy.stats' f.sf and t.sf; fdtrc
-    # is NaN below the support, where the survival function is 1
+    # fdtrc is the ufunc behind scipy.stats' f.sf; it is NaN below the
+    # support, where the survival function is 1
     p = float(fdtrc(d, n - d, f_stat)) if f_stat > 0 else 1.0
     return HotellingReport(t2=t2, f_stat=float(f_stat), df1=d, df2=n - d, p=p)
 
-
-def paired_t_test(x, y) -> tuple[float, float]:
-    """Two-sided paired t-test on two 1-D samples; returns (t, p)."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
-        raise ValidationError("paired t-test needs samples of equal length")
-    if x.size < 2:
-        raise ValidationError("paired t-test needs at least 2 pairs")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValidationError("paired t-test needs finite values")
-    diffs = x - y
-    sd = float(diffs.std(ddof=1))
-    if sd == 0.0:
-        if float(diffs.mean()) == 0.0:
-            return 0.0, 1.0
-        raise ZeroVarianceError("differences are constant and nonzero")
-    t = float(diffs.mean() / (sd / np.sqrt(diffs.size)))
-    p = float(2.0 * stdtr(diffs.size - 1, -abs(t)))
-    return t, p
-
-
-def bonferroni(pvals, alpha: float) -> np.ndarray:
-    """Reject p_j at family level alpha iff p_j <= alpha / len(pvals)."""
-    p = np.asarray(pvals, dtype=float).ravel()
-    if p.size == 0:
-        raise ValidationError("need at least one p-value")
-    if ((p < 0) | (p > 1)).any() or not np.isfinite(p).all():
-        raise ValidationError("p-values must lie in [0, 1]")
-    if not 0 < alpha <= 1:
-        raise ValidationError("alpha must lie in (0, 1]")
-    return p <= alpha / p.size

@@ -15,7 +15,7 @@ import numpy as np
 from ._version import __version__
 from .baselines import HotellingReport, hotelling_paired
 from .core import FLOAT_FORMAT, PairedSample, ValidationError, _check_seed, pool
-from .graph import DistanceMatrix, _checked_k, distance_matrix
+from .graph import DistanceMatrix, _checked_k
 from .inference import PValueReport, asymptotic_pvalues, permutation_pvalues
 from .moments import ConditionDiagnostics, NullMoments, census_q3, condition_diagnostics
 from .stats import StatisticTriple, graph_test
@@ -124,12 +124,11 @@ def run_paired_test(
                 f"distance matrix covers {distances.n_nodes} nodes but the "
                 f"pooled sample has {2 * sample.n}"
             )
-        dist = distances
         metric = distances.metric
-    else:
-        dist = distance_matrix(pool(sample), metric)
 
-    graph, cross, moments, triple = graph_test(dist, k)
+    graph, cross, moments, triple = graph_test(
+        pool(sample) if distances is None else distances, k, metric
+    )
 
     pvals = PValueReport()
     if pvalue in ("permutation", "both"):

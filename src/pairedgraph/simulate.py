@@ -31,7 +31,7 @@ import numpy as np
 from .baselines import SingularCovarianceError, hotelling_paired
 from .core import FLOAT_FORMAT, PairedSample, ValidationError, _readonly, pool
 from .core import _check_seed, _integer
-from .graph import DisconnectedError, _checked_k, distance_matrix
+from .graph import DisconnectedError, _checked_k
 from .inference import asymptotic_pvalues
 from .io import _lines, _read_text
 from .stats import graph_test
@@ -269,7 +269,7 @@ def run_scenario(scenario: Scenario) -> StudyResult:
         rng = np.random.default_rng([scenario.seed, rep])
         try:
             sample = _generate(spec, rng)
-            *_, triple = graph_test(distance_matrix(pool(sample)), k)
+            *_, triple = graph_test(pool(sample), k)
         except (ValidationError, DisconnectedError) as exc:
             # name the study and replicate; the error keeps its type and .level
             exc.args = (

@@ -1,9 +1,10 @@
 """The staged graph test and its three standardized statistics.
 
-``graph_test`` runs k-MST -> cross-pair graph (which carries the observed
-counts R1 and R2 as ``cross.r1`` and ``cross.r2``) -> null moments ->
-statistics. ``standardize`` is the one formula that turns counts into
-statistics, for the observed labeling and for every permuted one.
+``graph_test`` runs pooled distances -> k-MST -> cross-pair graph (which
+carries the observed counts R1 and R2 as ``cross.r1`` and ``cross.r2``) ->
+null moments -> statistics, and drops the distances when it returns.
+``standardize`` is the one formula that turns counts into statistics, for
+the observed labeling and for every permuted one.
 
 z_m targets mean alternatives (rejects for large values), z_s targets scale
 alternatives (rejects for large |z_s|), and z_g is the quadratic form in
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import DistanceMatrix, SimilarityGraph, build_kmst
+from .graph import DistanceMatrix, SimilarityGraph, build_kmst, distance_matrix
 from .moments import CrossPairGraph, NullMoments, extract_cross_pair_graph, null_moments
 
 __all__ = ["StatisticTriple", "standardize", "graph_test"]
@@ -62,14 +63,19 @@ def standardize(r1, r2, moments: NullMoments):
 
 
 def graph_test(
-    dist: DistanceMatrix, k: int
+    pooled, k: int, metric: str = "euclidean"
 ) -> tuple[SimilarityGraph, CrossPairGraph, NullMoments, StatisticTriple]:
-    """The k-MST test on the pooled distances, stage by stage.
+    """The k-MST test on the pooled sample, stage by stage.
 
-    Returns the graph, its cross-pair part (with the observed counts), the
-    null moments and the observed counts' statistics.
+    ``pooled`` is the (2n, d) matrix of ``pool(sample)``, whose ``metric``
+    distances are computed here and dropped with this call, or a precomputed
+    ``DistanceMatrix``, whose own metric applies. Returns the graph, its
+    cross-pair part (with the observed counts), the null moments and the
+    observed counts' statistics.
     """
-    graph = build_kmst(dist, k)
+    if not isinstance(pooled, DistanceMatrix):
+        pooled = distance_matrix(pooled, metric)  # drops the points before the k-MST
+    graph = build_kmst(pooled, k)
     cross = extract_cross_pair_graph(graph)
     moments = null_moments(cross)
     triple = StatisticTriple(*standardize(cross.r1, cross.r2, moments))

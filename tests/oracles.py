@@ -11,7 +11,8 @@ pair-of-pairs census of q3 as a loop over edge pairs, the condition
 diagnostics' earlier sparse form (an m_links x n neighbourhood indicator
 times the link matrix), the paired-CSV reader's earlier cell-by-cell record
 loop, the generator's earlier draw through the dense 2d x 2d stacked
-covariance, and the Monte Carlo swap bits drawn one bounded uint8 at a time.
+covariance, the Monte Carlo swap bits drawn one bounded uint8 at a time,
+and the paired t-test that checks Hotelling's T2 at d = 1.
 """
 
 import csv
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import squareform
+from scipy.special import stdtr
 
 from pairedgraph import (
     ConditionDiagnostics,
@@ -482,3 +484,27 @@ def dense_generate(spec, rng) -> PairedSample:
     if spec.family == "lognormal":
         rows = np.exp(rows)
     return PairedSample(x=rows[:, :d], y=rows[:, d:])
+
+
+def paired_t_test(x, y):
+    """Two-sided paired t-test on two 1-D samples; returns (t, p).
+
+    ``stdtr`` is the ufunc behind ``scipy.stats.t.sf``.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.size != y.size:
+        raise ValidationError("paired t-test needs samples of equal length")
+    if x.size < 2:
+        raise ValidationError("paired t-test needs at least 2 pairs")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError("paired t-test needs finite values")
+    diffs = x - y
+    sd = float(diffs.std(ddof=1))
+    if sd == 0.0:
+        if float(diffs.mean()) == 0.0:
+            return 0.0, 1.0
+        raise ValueError("differences are constant and nonzero, so t is unbounded")
+    t = float(diffs.mean() / (sd / np.sqrt(diffs.size)))
+    p = float(2.0 * stdtr(diffs.size - 1, -abs(t)))
+    return t, p

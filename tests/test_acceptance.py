@@ -28,7 +28,6 @@ from pairedgraph import (
     hotelling_paired,
     load_scenario,
     null_moments,
-    paired_t_test,
     permutation_pvalues,
     run_scenario,
     run_size_study,
@@ -41,7 +40,13 @@ from pairedgraph.stats import StatisticTriple, standardize
 from pairedgraph.inference import asymptotic_pvalues
 from pairedgraph.core import pool
 
-from oracles import census_q3_loop, empirical_moments, enumerate_counts, random_cross_edges
+from oracles import (
+    census_q3_loop,
+    empirical_moments,
+    enumerate_counts,
+    paired_t_test,
+    random_cross_edges,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "demos" / "scenarios"

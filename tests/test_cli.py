@@ -157,29 +157,23 @@ def test_precomputed_metric_roundtrip(pairs_csv, tmp_path):
     from pairedgraph import distance_matrix, pool, read_paired_csv
 
     sample = read_paired_csv(pairs_csv)
-    dist = distance_matrix(pool(sample))
-    dist_path = tmp_path / "dist.csv"
-    square = squareform(dist.condensed)
-    rows = [",".join(format(v, ".17g") for v in row) for row in square]
-    dist_path.write_text("\n".join(rows) + "\n")
+    common = ("--input", str(pairs_csv), "--pvalue", "both", "--n-perm", "999", "--seed", "1")
+    for metric in ("euclidean", "manhattan"):
+        dist_path = tmp_path / f"{metric}.csv"
+        square = squareform(distance_matrix(pool(sample), metric).condensed)
+        rows = [",".join(format(v, ".17g") for v in row) for row in square]
+        dist_path.write_text("\n".join(rows) + "\n")
 
-    euclid = run_cli("test", "--input", str(pairs_csv), "--seed", "1")
-    pre = run_cli(
-        "test",
-        "--input",
-        str(pairs_csv),
-        "--metric",
-        "precomputed",
-        "--dist-matrix",
-        str(dist_path),
-        "--seed",
-        "1",
-    )
-    assert pre.returncode == 0, pre.stderr
-    a = json.loads(euclid.stdout)
-    b = json.loads(pre.stdout)
-    assert a["statistics"] == b["statistics"]
-    assert b["input"]["metric"] == "precomputed"
+        direct = run_cli("test", *common, "--metric", metric)
+        pre = run_cli(
+            "test", *common, "--metric", "precomputed", "--dist-matrix", str(dist_path)
+        )
+        assert direct.returncode == pre.returncode == 0, direct.stderr + pre.stderr
+        a = json.loads(direct.stdout)
+        b = json.loads(pre.stdout)
+        assert a["input"].pop("metric") == metric
+        assert b["input"].pop("metric") == "precomputed"
+        assert a == b
 
 
 def test_degenerate_requested_statistic_exits_3(tmp_path):

@@ -1,14 +1,18 @@
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import squareform
 
 import pairedgraph.io as pgio
+from pairedgraph import report as pgreport
+from pairedgraph import stats as pgstats
 from pairedgraph import (
     PairedSample,
     ValidationError,
+    condition_diagnostics,
     distance_matrix,
     load_scenario,
     precomputed_distance,
@@ -230,6 +234,28 @@ def test_precomputed_distance_pipeline():
     )
     report = run_paired_test(x, y, k=2, distances=dist)
     assert report.metric == "precomputed"
+
+
+def test_distances_are_freed_before_the_diagnostics(monkeypatch):
+    # graph_test owns the distances, so they cannot sit next to the
+    # diagnostics' working set
+    refs = []
+
+    def kept_distance_matrix(*args):
+        dist = distance_matrix(*args)
+        refs.append((weakref.ref(dist), weakref.ref(dist.condensed)))
+        return dist
+
+    def checked_diagnostics(cross):
+        assert [(a() is not None, b() is not None) for a, b in refs] == [(False, False)]
+        return condition_diagnostics(cross)
+
+    monkeypatch.setattr(pgstats, "distance_matrix", kept_distance_matrix)
+    monkeypatch.setattr(pgreport, "condition_diagnostics", checked_diagnostics)
+    rng = np.random.default_rng(10)
+    x, y = rng.standard_normal((2, 30, 4))
+    report = run_paired_test(x, y, metric="manhattan", pvalue="both", n_perm=99, seed=0)
+    assert report.metric == "manhattan" and len(refs) == 1
 
 
 def test_run_paired_test_argument_validation():

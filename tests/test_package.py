@@ -14,10 +14,10 @@ PUBLIC = [
     "DistanceMatrix", "ExactTooLargeError", "GeneratorSpec",
     "HotellingReport", "NullMoments", "PValueReport", "PairedSample", "SimilarityGraph",
     "SingularCovarianceError", "StatisticTriple", "StudyResult", "TestReport",
-    "ValidationError", "ZeroVarianceError", "__version__", "asymptotic_pvalues",
-    "bonferroni", "build_kmst", "census_q3", "condition_diagnostics", "distance_matrix",
+    "ValidationError", "__version__", "asymptotic_pvalues",
+    "build_kmst", "census_q3", "condition_diagnostics", "distance_matrix",
     "exhaustive_edge_counts", "extract_cross_pair_graph", "graph_test",
-    "hotelling_paired", "load_scenario", "null_moments", "paired_t_test",
+    "hotelling_paired", "load_scenario", "null_moments",
     "permutation_pvalues", "pool", "precomputed_distance", "read_distance_csv",
     "read_paired_csv", "report_csv", "report_json", "results_to_csv",
     "run_oracle_validation", "run_paired_test", "run_power_study", "run_scenario",
