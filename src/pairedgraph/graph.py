@@ -2,10 +2,13 @@
 
 The k-MST is the union of k successive spanning trees, each the minimum one
 without the earlier trees' edges, grown as a single-linkage dendrogram (Gower &
-Ross 1969) over edge ranks decided once; construction is fully deterministic.
+Ross 1969). Its heights are the distances with an edge label in their low
+mantissa bits, so they order like (weight, position) and name the chosen
+edges; construction is fully deterministic.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
@@ -23,8 +26,9 @@ __all__ = [
 ]
 
 _METRICS = {"euclidean": "euclidean", "manhattan": "cityblock"}
-_KEY_MAX = np.iinfo(np.int64).max  # build_kmst's sort keys reach E**2 - 1
-_RANK_SLICE = 1 << 16  # ranks written at a time, so no E-length arange is held
+_LABEL_BITS = 32  # edge labels; a near-tie sort packs two in one uint64 key
+_SLICE = 1 << 16  # keys labelled, scanned or relabelled at a time
+_GONE = np.finfo(np.float64).max  # a used edge's key: its label is all ones
 
 
 class DisconnectedError(RuntimeError):
@@ -142,20 +146,115 @@ class SimilarityGraph:
         return self.edges.shape[0]
 
 
-def _edge_order(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions sorted by (w, position), and w sorted; only ties are re-sorted."""
-    order = np.argsort(w)  # equal weights come out in any order
-    w = w[order]
-    head = np.ones(w.size, dtype=bool)  # slot s starts an equal-weight run
-    np.not_equal(w[1:], w[:-1], out=head[1:])
-    if head.all():  # no ties, so no run masks to build
-        return order, w
-    slots = np.flatnonzero(~(head & np.r_[head[1:], True]))  # in a tied run
-    key = np.maximum.accumulate(np.where(head[slots], slots, 0)) * w.size
-    key += order[slots]  # distinct (run start, position) keys
-    key.sort()
-    order[slots] = key % w.size
-    return order, w
+def _labelled(wbits: np.ndarray, key: np.ndarray, high: np.uint64) -> None:
+    """Write w's high bits into ``key`` and each edge's position below them."""
+    np.bitwise_and(wbits, high, out=key)
+    for start in range(0, key.size, _SLICE):  # no E-length arange is held
+        stop = min(start + _SLICE, key.size)
+        key[start:stop] |= np.arange(start, stop, dtype=np.uint64)
+
+
+def _positions(key: np.ndarray, low: np.uint64) -> np.ndarray:
+    """The labels of ``key`` as an int64 index array, which numpy need not cast."""
+    return (key & low).view(np.int64)
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """``ascending`` without its repeats."""
+    keep = np.ones(ascending.size, dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=keep[1:])
+    return ascending[keep]
+
+
+def _near_tie_buckets(key: np.ndarray, w: np.ndarray, low: np.uint64) -> np.ndarray:
+    """High bits, ascending, of the buckets of sorted ``key`` whose weights differ."""
+    shift = np.uint64(int(low).bit_length())
+    found = [np.zeros(0, dtype=np.uint64)]  # E = 1 has no pair of slots
+    for start in range(0, key.size - 1, _SLICE):
+        run = key[start:min(start + _SLICE, key.size - 1) + 1]
+        pair = np.flatnonzero((run[1:] ^ run[:-1]) <= low)  # t, t + 1 share a bucket
+        seen = w[_positions(run[pair], low)]
+        pair = pair[seen != w[_positions(run[pair + 1], low)]]
+        found.append(_distinct(run[pair] >> shift))
+    return _distinct(np.concatenate(found))  # a bucket may cross a slice boundary
+
+
+def _chunks(offset: np.ndarray):
+    """(lo, hi) spans of whole buckets, of up to _SLICE slots or one bucket."""
+    lo = 0
+    while lo < offset.size - 1:
+        hi = max(lo + 1, int(np.searchsorted(offset, offset[lo] + _SLICE, "right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+class _Labels(NamedTuple):
+    """How to read an edge's position from its key."""
+
+    low: np.uint64  # the label bits
+    buckets: np.ndarray  # high bits of the relabelled buckets, ascending
+    offset: np.ndarray  # bucket b's edges are order[offset[b]:offset[b + 1]]
+    order: np.ndarray  # positions of the relabelled edges, in label order
+
+
+def _edge_keys(w: np.ndarray) -> tuple[np.ndarray, _Labels]:
+    """uint64 keys of the edges in (w, position) order, and how to decode them.
+
+    A key is w's bits with the low L = E.bit_length() mantissa bits replaced by
+    a label, so the keys of finite weights w >= 0 order like the weights
+    except within a bucket of equal high bits. The label is the edge's
+    position, which orders exact ties. A bucket whose weights differ in the
+    dropped bits is relabelled 0, 1, ... in (w, position) order instead. The
+    all-ones label is no edge's, so every key is below the largest finite float.
+    """
+    bits = w.size.bit_length()
+    low = np.uint64((1 << bits) - 1)
+    high = np.uint64(0x7FFF_FFFF_FFFF_FFFF) & ~low  # and a -0.0 sorts as 0.0
+    shift = np.uint64(bits)
+    wbits = w.view(np.uint64)
+    key = np.empty(w.size, dtype=np.uint64)
+    _labelled(wbits, key, high)
+    key.sort()  # by (high bits, position): a bucket is a run of sorted slots
+    buckets = _near_tie_buckets(key, w, low)
+    first = np.searchsorted(key, buckets << shift)
+    sizes = np.searchsorted(key, (buckets + np.uint64(1)) << shift) - first
+    offset = np.zeros(buckets.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offset[1:])
+    order = np.empty(offset[-1], dtype=np.uint32)
+    for lo, hi in _chunks(offset):
+        count = int(offset[hi] - offset[lo])
+        slot = np.arange(count)  # in the chunk; + base is the sorted slot
+        base = np.repeat(first[lo:hi] - offset[lo:hi] + offset[lo], sizes[lo:hi])
+        pos = _positions(key[base + slot], low)
+        # (bucket, dropped weight bits, slot) composites, the slot keeping
+        # ties in position order: 31 + L bits for many buckets, 2L for one
+        width = np.uint64((count - 1).bit_length())
+        sort = np.arange(hi - lo, dtype=np.uint64) << shift + width
+        sort = np.repeat(sort, sizes[lo:hi])
+        sort |= (wbits[pos] & low) << width
+        sort |= slot.astype(np.uint64)
+        sort.sort()
+        order[offset[lo]:offset[hi]] = pos[sort & (np.uint64(1) << width) - np.uint64(1)]
+    _labelled(wbits, key, high)
+    for lo, hi in _chunks(offset):  # label: offset - the bucket's first offset
+        label = (offset[lo:hi] - offset[lo]).astype(np.uint64)
+        label = np.repeat((buckets[lo:hi] << shift) - label, sizes[lo:hi])
+        label += np.arange(label.size, dtype=np.uint64)
+        np.put(key, order[offset[lo]:offset[hi]], label)  # no intp copy of order
+    return key, _Labels(low, buckets, offset, order)
+
+
+def _edge_positions(heights: np.ndarray, labels: _Labels) -> np.ndarray:
+    """Condensed positions of the edges whose keys are ``heights``."""
+    key = np.ascontiguousarray(heights).view(np.uint64)
+    pos = (key & labels.low).astype(np.int64)
+    if labels.buckets.size:
+        bucket = key >> np.uint64(int(labels.low).bit_length())
+        at = np.searchsorted(labels.buckets, bucket)
+        at = np.minimum(at, labels.buckets.size - 1)
+        hit = labels.buckets[at] == bucket
+        pos[hit] = labels.order[labels.offset[at[hit]] + pos[hit]]
+    return pos
 
 
 def _checked_k(k, n_nodes: int) -> int:
@@ -174,33 +273,35 @@ def _checked_k(k, n_nodes: int) -> int:
 def build_kmst(dist: DistanceMatrix, k: int = 5) -> SimilarityGraph:
     """Union of k successive edge-disjoint minimum spanning trees.
 
-    Edges are ranked once by (weight, u, v), u < v, which is (weight, condensed
-    position), so each level's tree is unique; scipy's single-linkage Prim grows
-    it over the condensed ranks and returns its edges' ranks as merge heights. A
-    used edge gets the rank ``gone`` = N(N-1)/2, above every real edge. Raises
+    Edges are ordered by (weight, u, v), u < v, which is (weight, condensed
+    position), so each level's tree is unique. scipy's single-linkage Prim
+    grows it over float keys in that order (``_edge_keys``) and returns the
+    chosen keys, bit for bit, as merge heights. A used edge gets the key
+    ``_GONE``, the largest finite float, above every real key. Raises
     DisconnectedError at the first level that cannot span.
     """
     n = dist.n_nodes
     k = _checked_k(k, n)
-    gone = n * (n - 1) // 2
-    if gone * gone > _KEY_MAX:
-        raise ValidationError(f"N={n} nodes overflow the k-MST's int64 sort keys")
-    order, rank = _edge_order(dist.condensed)  # order[r]: the edge of rank r
-    for start in range(0, gone, _RANK_SLICE):  # reuses the sorted weights' buffer
-        stop = min(start + _RANK_SLICE, gone)
-        rank[order[start:stop]] = np.arange(start, stop)
+    bits = (n * (n - 1) // 2).bit_length()
+    if bits > _LABEL_BITS:
+        raise ValidationError(
+            f"N={n} nodes need {bits}-bit edge labels; the k-MST's keys hold "
+            f"{_LABEL_BITS}"
+        )
+    key, labels = _edge_keys(dist.condensed)
+    height = key.view(np.float64)
     chosen = []
     for level in range(1, k + 1):
-        tree = linkage(rank, method="single")
-        if tree[:, 2].max() == gone:
-            labels = fcluster(tree, gone - 0.5, criterion="distance")
+        tree = linkage(height, method="single")
+        if tree[:, 2].max() == _GONE:
+            cluster = fcluster(tree, np.nextafter(_GONE, 0), criterion="distance")
             raise DisconnectedError(
                 f"graph is disconnected at MST level {level}: the tree from node "
-                f"0 reaches only {np.count_nonzero(labels == labels[0])} of {n} nodes",
+                f"0 reaches only {np.count_nonzero(cluster == cluster[0])} of {n} nodes",
                 level=level,
             )
-        chosen.append(order[tree[:, 2].astype(np.int64)])
-        rank[chosen[-1]] = gone
+        chosen.append(_edge_positions(tree[:, 2], labels))
+        height[chosen[-1]] = _GONE
     pos = np.concatenate(chosen)
     ends = np.cumsum(np.arange(n - 1, 0, -1))  # row u holds edges below ends[u]
     u = np.searchsorted(ends, pos, side="right")

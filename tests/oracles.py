@@ -3,7 +3,9 @@
 Everything here is deliberately written from the definitions, without reusing
 the library's vectorized machinery: plain loops over all 2^n label swaps,
 Prufer-sequence enumeration of spanning trees, Kruskal passes for the k-MST,
-the k-MST's earlier edge ranking (one key sort over every edge),
+the k-MST's earlier edge ranking (one key sort over every edge) and its
+earlier construction over those ranks (an argsort, a tie re-sort and a rank
+scatter),
 exact rational arithmetic for permutation p-values, a per-edge label gather
 for swap counts, the earlier dense spin form of the swap counts (an n x n
 float pair matrix), edge-pair key matching for the variance count q, the
@@ -24,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 from scipy.special import stdtr
 
@@ -365,6 +368,53 @@ def key_sort_order(w):
     key += order
     key.sort()
     return key % gone
+
+
+def edge_order(w):
+    """Positions sorted by (w, position), and w sorted; only ties are re-sorted."""
+    order = np.argsort(w)  # equal weights come out in any order
+    w = w[order]
+    head = np.ones(w.size, dtype=bool)  # slot s starts an equal-weight run
+    np.not_equal(w[1:], w[:-1], out=head[1:])
+    if head.all():  # no ties, so no run masks to build
+        return order, w
+    slots = np.flatnonzero(~(head & np.r_[head[1:], True]))  # in a tied run
+    key = np.maximum.accumulate(np.where(head[slots], slots, 0)) * w.size
+    key += order[slots]  # distinct (run start, position) keys
+    key.sort()
+    order[slots] = key % w.size
+    return order, w
+
+
+def rank_kmst(dist, k):
+    """k-MST edges of a DistanceMatrix over float ranks of (weight, position).
+
+    ``edge_order`` ranks the edges once; scipy's single linkage grows each
+    level's tree over the ranks and returns the chosen ranks as merge
+    heights, and a used edge is ranked E = N(N-1)/2, above every real edge.
+    Raises DisconnectedError, with build_kmst's message, at the first level
+    that cannot span.
+    """
+    n = dist.n_nodes
+    gone = n * (n - 1) // 2
+    order, rank = edge_order(dist.condensed)  # order[r]: the edge of rank r
+    rank[order] = np.arange(gone)
+    chosen = []
+    for level in range(1, k + 1):
+        tree = linkage(rank, method="single")
+        if tree[:, 2].max() == gone:
+            labels = fcluster(tree, gone - 0.5, criterion="distance")
+            raise DisconnectedError(
+                f"graph is disconnected at MST level {level}: the tree from node "
+                f"0 reaches only {np.count_nonzero(labels == labels[0])} of {n} nodes",
+                level=level,
+            )
+        chosen.append(order[tree[:, 2].astype(np.int64)])
+        rank[chosen[-1]] = gone
+    pos = np.concatenate(chosen)
+    iu, iv = np.triu_indices(n, 1)
+    edges = np.stack([iu[pos], iv[pos]], axis=1)
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
 def random_cross_edges(rng, n, prob=None):

@@ -30,7 +30,6 @@ from pairedgraph import (
     null_moments,
     permutation_pvalues,
     run_scenario,
-    run_size_study,
     scalar_block_spec,
     write_paired_csv,
 )

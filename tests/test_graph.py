@@ -2,8 +2,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from pairedgraph import (
@@ -17,7 +18,13 @@ from pairedgraph import (
     precomputed_distance,
 )
 
-from oracles import key_sort_order, kruskal_kmst, min_spanning_weight
+from oracles import (
+    edge_order,
+    key_sort_order,
+    kruskal_kmst,
+    min_spanning_weight,
+    rank_kmst,
+)
 from test_moments import traced_peak
 
 
@@ -291,16 +298,17 @@ def test_disconnection_message_counts_the_component_of_node_0():
     assert max(reaches) > 1
 
 
-def test_kmst_sort_key_guard_names_the_node_count(monkeypatch):
-    # (run, edge) keys reach E**2 - 1 for E = N(N-1)/2 edges and must fit in
-    # int64: at the real limit N = 77 937 is the first count refused, and a
-    # smaller limit checks both sides without a large allocation
-    with pytest.raises(ValidationError, match="N=77937 nodes"):
-        build_kmst(SimpleNamespace(n_nodes=77_937), 1)
+def test_kmst_label_width_guard_names_the_node_count(monkeypatch):
+    # an edge's label takes L = E.bit_length() low mantissa bits of its key
+    # for E = N(N-1)/2 edges, and a near-tie sort packs two labels in one
+    # uint64: at the real limit of 32 bits N = 92 683 is the first count
+    # refused, and a smaller limit checks both sides without a large allocation
+    with pytest.raises(ValidationError, match="N=92683 nodes"):
+        build_kmst(SimpleNamespace(n_nodes=92_683), 1)
     dist = distance_matrix(np.random.default_rng(4).standard_normal((6, 2)))
-    monkeypatch.setattr(graph, "_KEY_MAX", 15 * 15)
+    monkeypatch.setattr(graph, "_LABEL_BITS", 4)  # E = 15 needs 4 bits
     assert build_kmst(dist, 2).n_edges == 10
-    monkeypatch.setattr(graph, "_KEY_MAX", 15 * 15 - 1)
+    monkeypatch.setattr(graph, "_LABEL_BITS", 3)
     with pytest.raises(ValidationError, match="N=6 nodes"):
         build_kmst(dist, 2)
 
@@ -320,7 +328,7 @@ def test_kmst_sort_key_guard_names_the_node_count(monkeypatch):
 )
 def test_edge_order_matches_the_full_key_sort(w):
     w = np.array(w)
-    order, ranked = graph._edge_order(w)
+    order, ranked = edge_order(w)
     assert np.array_equal(order, key_sort_order(w))
     assert np.array_equal(ranked, w[order])
 
@@ -332,7 +340,7 @@ def test_edge_order_breaks_a_tie_between_the_two_largest_weights():
     for _ in range(10):
         w = rng.permutation(200).astype(float)
         w[w == 199] = 198
-        order, ranked = graph._edge_order(w)
+        order, ranked = edge_order(w)
         assert np.array_equal(order, key_sort_order(w))
         assert np.array_equal(ranked, w[order])
 
@@ -345,9 +353,148 @@ def test_edge_order_matches_the_full_key_sort_on_grids():
             pooled = rng.integers(0, 3, size=(n_nodes, dim)).astype(float)
             for metric in ("manhattan", "euclidean"):
                 w = distance_matrix(pooled, metric).condensed
-                order, ranked = graph._edge_order(w)
+                order, ranked = edge_order(w)
                 assert np.array_equal(order, key_sort_order(w))
                 assert np.array_equal(ranked, w[order])
+
+
+ULP = [1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 0.0), 1.0]
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        [1.0, 1.0, 1.0, 2.0, 3.0],
+        [2.0, 1.0, 2.0, 1.0, 2.0, 0.0, 1.0],
+        [0.0] * 6,
+        [2.0],
+        ULP,  # weights one ulp apart share a bucket: relabelled
+        ULP[::-1] + [0.0, 5e-324, 0.0, 1e-320, 5e-324],  # subnormal weights too
+        [np.finfo(float).max, np.nextafter(np.finfo(float).max, 0.0)] * 3,
+        [0.0, -0.0, 1.0, -0.0, 0.0],  # a precomputed -0.0 is a zero weight
+    ],
+)
+def test_edge_keys_sort_into_the_full_key_sort(w):
+    w = np.array(w)
+    key, labels = graph._edge_keys(w)
+    assert np.array_equal(np.argsort(key, kind="stable"), key_sort_order(w))
+    assert np.unique(key).size == w.size
+    assert (key < np.array(np.finfo(float).max).view(np.uint64)).all()
+    positions = graph._edge_positions(key.view(np.float64), labels)
+    assert np.array_equal(positions, np.arange(w.size))
+
+
+def test_rounded_data_take_the_relabel_path():
+    # distances of points on a 0.1 lattice tie up to rounding: equal high
+    # bits, different low bits, so buckets are relabelled in (weight,
+    # position) order and decoded through the table
+    pooled = np.round(np.random.default_rng(41).standard_normal((60, 3)), 1)
+    for metric in ("euclidean", "manhattan"):
+        dist = distance_matrix(pooled, metric)
+        key, labels = graph._edge_keys(dist.condensed)
+        assert labels.buckets.size > 0 and labels.order.size > 0
+        assert np.array_equal(np.argsort(key), key_sort_order(dist.condensed))
+        assert same_as_kruskal(dist, 5) is None
+
+
+def kmst_input(kind, metric, n_nodes, seed):
+    """A DistanceMatrix of one of the k-MST property test's input families."""
+    rng = np.random.default_rng(seed)
+    if kind in ("last bits", "near max"):
+        # precomputed entries that differ only in their last mantissa bits
+        top = np.array(np.finfo(float).max if kind == "near max" else 1.0 + seed % 7)
+        size = n_nodes * (n_nodes - 1) // 2
+        upper = top.view(np.uint64) - rng.integers(0, 8, size, dtype=np.uint64)
+        matrix = np.zeros((n_nodes, n_nodes))
+        matrix[np.triu_indices(n_nodes, 1)] = upper.view(np.float64)
+        return precomputed_distance(matrix + matrix.T)
+    shape = (n_nodes, 1 + seed % 4)
+    pooled = {
+        "normal": lambda: rng.standard_normal(shape),
+        "lognormal": lambda: rng.lognormal(size=shape),
+        "grid": lambda: rng.integers(0, 3, (n_nodes, 4)).astype(float),
+        "scores": lambda: rng.integers(0, 31, (n_nodes, 10)).astype(float),
+        "rounded 0.1": lambda: np.round(rng.standard_normal(shape), 1),
+        "rounded 0.01": lambda: np.round(rng.standard_normal(shape), 2),
+        "duplicates": lambda: rng.standard_normal((3, 2))[rng.integers(0, 3, n_nodes)],
+        "scaled": lambda: rng.standard_normal(shape) * 2.0 ** (300 * (-1) ** seed),
+    }[kind]()
+    return distance_matrix(pooled, metric)
+
+
+def kmst_outcome(build, dist, k):
+    """The k-MST's edges, or the level and message of its DisconnectedError."""
+    try:
+        return build(dist, k)
+    except DisconnectedError as err:
+        return err.level, str(err)
+
+
+@settings(max_examples=150)
+@given(
+    kind=st.sampled_from(
+        [
+            "normal", "lognormal", "grid", "scores", "rounded 0.1",
+            "rounded 0.01", "duplicates", "scaled", "last bits", "near max",
+        ]
+    ),
+    metric=st.sampled_from(["euclidean", "manhattan"]),
+    n_nodes=st.integers(min_value=2, max_value=24),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_kmst_matches_both_oracles(kind, metric, n_nodes, seed, data):
+    k = data.draw(st.integers(min_value=1, max_value=n_nodes // 2))
+    same_as_both_oracles(kmst_input(kind, metric, n_nodes, seed), k)
+
+
+def same_as_both_oracles(dist, k):
+    """Require build_kmst's edges, or its error's level and message, of both oracles."""
+    got = kmst_outcome(lambda d, k: build_kmst(d, k).edges, dist, k)
+    ranked = kmst_outcome(rank_kmst, dist, k)
+    kruskal = kmst_outcome(kruskal_kmst, dist, k)
+    if isinstance(got, tuple):
+        assert got == ranked
+        assert isinstance(kruskal, tuple) and kruskal[0] == got[0]
+    else:
+        assert np.array_equal(got, ranked)
+        assert np.array_equal(got, kruskal)
+
+
+@pytest.mark.parametrize("slice_size", [2, 5, 64])
+def test_kmst_in_small_slices_matches_the_ranked_kmst(monkeypatch, slice_size):
+    # slices and relabelling chunks far smaller than the buckets: buckets
+    # cross slice boundaries, and some fill a chunk alone
+    monkeypatch.setattr(graph, "_SLICE", slice_size)
+    rng = np.random.default_rng(43)
+    rounded = np.round(rng.standard_normal((40, 2)), 1)
+    grid = rng.integers(0, 3, size=(40, 2)).astype(float)
+    for pooled in (rounded, grid):
+        for metric in ("euclidean", "manhattan"):
+            dist = distance_matrix(pooled, metric)
+            key, _ = graph._edge_keys(dist.condensed)
+            assert np.array_equal(np.argsort(key), key_sort_order(dist.condensed))
+            same_as_both_oracles(dist, 4)
+
+
+@pytest.mark.parametrize("top", [False, True])
+def test_single_linkage_returns_its_input_bits_as_heights(top):
+    # build_kmst names the chosen edges by their keys, so scipy's single
+    # linkage must return them bit for bit and order them as floats:
+    # subnormal keys (zero distances; no flush to zero) and keys up to the
+    # largest finite float, the key of a used edge
+    n_nodes = 12
+    size = n_nodes * (n_nodes - 1) // 2
+    bits = np.random.default_rng(42).permutation(size).astype(np.uint64)
+    if top:
+        bits = np.array(np.finfo(float).max).view(np.uint64) - bits
+    else:
+        bits += np.uint64(1)
+    dist = DistanceMatrix(bits.view(np.float64), "precomputed")
+    heights = np.ascontiguousarray(linkage(dist.condensed, method="single")[:, 2])
+    u, v = kruskal_kmst(dist, 1).T
+    want = square(dist)[u, v].view(np.uint64)
+    assert np.array_equal(np.sort(heights.view(np.uint64)), np.sort(want))
 
 
 def same_as_kruskal(dist, k):
@@ -425,15 +572,25 @@ def test_kmst_matches_kruskal_at_a_thousand_pairs():
 
 def test_distances_and_kmst_hold_few_edge_length_arrays():
     # E = N(N-1)/2 = 1 999 000 distances of 8 bytes at N = 2000
-    pooled = np.random.default_rng(33).standard_normal((2000, 20))
+    rng = np.random.default_rng(33)
+    pooled = rng.standard_normal((2000, 20))
     eight_e = 8 * 2000 * 1999 // 2
     # pdist's vector is kept, not copied (copying it peaked at 2 x 8E), and
     # only one-byte masks check it
     assert traced_peak(lambda: distance_matrix(pooled)) < 1.3 * eight_e
-    # the order and the ranks written over the sorted weights: 2 x 8E and
-    # one-byte masks; an E-length arange of ranks made it 3 x 8E
-    dist = distance_matrix(pooled)
-    assert traced_peak(lambda: build_kmst(dist, 5)) <= 2.25 * eight_e
+    # the keys, one 8E array, and slices of them: an argsort order and ranks
+    # made it 2.13 x 8E, and 5.13 x 8E on the tie-heavy grids
+    grid = rng.integers(0, 3, size=(2000, 4)).astype(float)
+    for dist in (
+        distance_matrix(pooled),
+        distance_matrix(grid, "euclidean"),
+        distance_matrix(grid, "manhattan"),
+    ):
+        assert traced_peak(lambda: build_kmst(dist, 5)) <= 2.25 * eight_e
+    # near-ties relabel nearly every edge and keep a 4-byte position for
+    # each; the ranked order peaked at 5.12 x 8E on these
+    dist = distance_matrix(np.round(pooled, 1))
+    assert traced_peak(lambda: build_kmst(dist, 5)) <= 5.12 * eight_e
 
 
 def test_similarity_graph_rejects_junk():

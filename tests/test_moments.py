@@ -347,16 +347,18 @@ def test_diagnostics_memory_on_a_dense_graph():
 
 
 def test_diagnostics_memory_below_the_kmst():
-    # The diagnostics' dense n x n tables take 17 n^2 bytes; the k-MST on the
-    # same 2n nodes holds three E-length 8-byte arrays, about 48 n^2 bytes,
-    # so a full test's peak stays the graph's.
+    # The diagnostics' dense n x n tables take 17 n^2 bytes. graph_test builds
+    # the k-MST on the same 2n nodes next to the distances: two E-length
+    # 8-byte arrays, the distances and the keys, about 32 n^2 bytes, so a full
+    # test's peak stays the graph's; the keys alone, about 18 n^2 bytes, are
+    # as large as the tables.
     rng = np.random.default_rng(3)
     x = rng.standard_normal((1500, 20))
     y = 0.8 * x + 0.6 * rng.standard_normal((1500, 20))
-    dist = distance_matrix(np.vstack([x, y]))
-    cross = extract_cross_pair_graph(build_kmst(dist, 5))
+    pooled = np.vstack([x, y])
+    cross = extract_cross_pair_graph(build_kmst(distance_matrix(pooled), 5))
     assert traced_peak(lambda: condition_diagnostics(cross)) < traced_peak(
-        lambda: build_kmst(dist, 5)
+        lambda: build_kmst(distance_matrix(pooled), 5)
     )
 
 
