@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation error, 3 degenerate null for a requested
-statistic. Every run is replayable: a run needing permutations without --seed
-draws one and reports it; asymptotic-only runs report seed null.
+statistic. Every run is replayable: a run that samples swaps without --seed
+draws one and reports it; enumeration and asymptotic-only runs draw nothing
+and report seed null.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument(
         "--exact",
         action="store_true",
-        help="force exhaustive enumeration of all 2^n swaps",
+        help="require exhaustive enumeration of all 2^n swaps (exit 2 for n > 20)",
     )
     test.add_argument(
         "--strict",

@@ -9,14 +9,17 @@ are packed pairs-major into uint64 words, 64 swaps to a word, and a
 bit-sliced adder tree sums the link rows (b_pa xor b_pb) and the pair rows
 in int64, gathering and counting ``_ROW_CHUNK`` rows at a time. A block of
 B swaps costs O((links + n) B / 64) word operations and no n x n array, and
-its working set is bounded by n and B, not by the link count. For n at or
-below the exact threshold all 2^n swaps are enumerated in code order, their
-words built directly; beyond it, blocks of at most ``_CHUNK`` swaps take
-the top bit of each byte of a seeded PCG64 generator's raw words (the bits
-``Generator.integers(0, 2, dtype=np.uint8)`` draws), ``_SUB`` swap rows at
-a time, and pack them. Both reach one tally loop, which compares every
-swap's statistics with the observed ones, standardized from the graph's own
-``r1`` and ``r2``. Each p-value is (extra + hits) / (total + extra): extra =
+its working set is bounded by n and B, not by the link count.
+``permutation_pvalues`` alone chooses the form of the null, from n: at or
+below ``DEFAULT_EXACT_THRESHOLD`` all 2^n swaps are enumerated in code
+order, their words built directly, and nothing random runs; beyond it,
+blocks of at most ``_CHUNK`` swaps take the top bit of each byte of a PCG64
+generator's raw words (the bits ``Generator.integers(0, 2, dtype=np.uint8)``
+draws), ``_SUB`` swap rows at a time, and pack them. The generator is
+seeded with the caller's seed, or with one drawn from ``secrets`` and
+reported, so every sampled run can be replayed. Both reach one tally loop,
+which compares every swap's statistics with the observed ones, standardized
+from the graph's own ``r1`` and ``r2``. Each p-value is (extra + hits) / (total + extra): extra =
 0 for enumeration, and extra = 1 for sampling, the add-one estimator, which
 can never return 0. Enumeration past the threshold raises
 ``ExactTooLargeError`` from one guard. The oracle sweep enumerates each
@@ -27,6 +30,7 @@ residual from the same counts.
 from __future__ import annotations
 
 import math
+import secrets
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -84,7 +88,11 @@ class PValueReport:
     n_permutations: int | None = None
     mode: str | None = None  # "exact" or "monte-carlo"
     seed: int | None = None
-    rng_algorithm: str | None = None
+
+    @property
+    def rng_algorithm(self) -> str | None:
+        """The bit generator that drew the swaps; None unless they were sampled."""
+        return RNG_ALGORITHM if self.mode == "monte-carlo" else None
 
 
 def _normal_sf(x: float) -> float:
@@ -243,19 +251,12 @@ def _pack_into(buf: np.ndarray, bits: np.ndarray) -> None:
         buf[:, whole] = np.einsum("in,i->n", bits[8 * whole :], _BYTE_PLACES[: size % 8])
 
 
-def _packed(bits: np.ndarray) -> np.ndarray:
-    """(B, n) swap bit rows as (n, ceil(B / 64)) words, pairs-major, zero padded."""
-    size, n = bits.shape
-    buf = np.zeros((n, 8 * -(-size // _WORD)), dtype=np.uint8)
-    _pack_into(buf, bits)
-    return buf.view("<u8")
-
-
 def _drawn_words(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
-    """``_packed(_swap_bits(rng, size, n))``, drawn and packed ``_SUB`` rows at a time.
+    """``_swap_bits(rng, size, n)`` as (n, ceil(size / 64)) words, pairs-major.
 
-    A sub-block starts on a word of the block, so its bytes land where the
-    whole block's would.
+    The rows are drawn and packed ``_SUB`` at a time into one zeroed buffer;
+    a sub-block starts on a word of the block, so its bytes land where the
+    whole block's would, and the padding bits stay zero.
     """
     buf = np.zeros((n, 8 * -(-size // _WORD)), dtype=np.uint8)
     for start in range(0, size, _SUB):
@@ -310,33 +311,32 @@ def permutation_pvalues(
     *,
     n_perm: int = 10000,
     seed: int | None = None,
-    mode: str = "auto",
     strict: bool = False,
 ) -> PValueReport:
     """Permutation p-values for the observed (identity) labeling.
 
-    Every swap is standardized by ``null_moments(cross)``. ``mode`` is
-    "exact", "monte-carlo", or "auto" (exact when n is at or below
-    ``DEFAULT_EXACT_THRESHOLD``). Exact mode counts swaps whose statistic is
-    >= the observed one (or > with ``strict=True``) out of all 2^n.
+    Every swap is standardized by ``null_moments(cross)``. At or below
+    ``DEFAULT_EXACT_THRESHOLD`` pairs all 2^n swaps are enumerated, nothing
+    is drawn and ``seed`` is only reported; above it ``n_perm`` swaps are
+    sampled from ``seed``, drawn with ``secrets`` when None and reported, so
+    the run can be replayed. ``n_perm`` and ``seed`` are checked either way.
+    A swap counts when its statistic is >= the observed one (> with
+    ``strict=True``).
     """
     seed = _check_seed(seed)
+    n_perm = _integer(n_perm, "n_perm")
+    if n_perm < 1:
+        raise ValidationError(f"need at least one permutation, got n_perm={n_perm}")
     n = cross.n_pairs
-    if mode not in ("auto", "exact", "monte-carlo"):
-        raise ValidationError(f"unknown permutation mode {mode!r}")
-    if mode == "auto":
-        mode = "exact" if n <= DEFAULT_EXACT_THRESHOLD else "monte-carlo"
-    if mode == "exact":
-        _require_exact(n)
-        blocks, total, extra = _enumerated_words(n), 1 << n, 0
+    if n <= DEFAULT_EXACT_THRESHOLD:
+        mode, blocks, total, extra = "exact", _enumerated_words(n), 1 << n, 0
     else:
-        n_perm = _integer(n_perm, "n_perm")
-        if n_perm < 1:
-            raise ValidationError("monte-carlo needs at least one permutation")
+        if seed is None:
+            seed = secrets.randbits(63)
         rng = np.random.default_rng(seed)
         sizes = (min(_CHUNK, n_perm - start) for start in range(0, n_perm, _CHUNK))
         blocks = ((_drawn_words(rng, size, n), size) for size in sizes)
-        total, extra = n_perm, 1
+        mode, total, extra = "monte-carlo", n_perm, 1
 
     moments = null_moments(cross)
 
@@ -362,7 +362,6 @@ def permutation_pvalues(
         n_permutations=total,
         mode=mode,
         seed=seed,
-        rng_algorithm=RNG_ALGORITHM if mode == "monte-carlo" else None,
     )
 
 

@@ -7,7 +7,6 @@ so repeated runs with the same seed are byte-identical.
 from __future__ import annotations
 
 import json
-import secrets
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ from ._version import __version__
 from .baselines import HotellingReport, hotelling_paired
 from .core import FLOAT_FORMAT, PairedSample, ValidationError, _check_seed, pool
 from .graph import DistanceMatrix, _checked_k
-from .inference import PValueReport, asymptotic_pvalues, permutation_pvalues
+from .inference import PValueReport, _require_exact, asymptotic_pvalues, permutation_pvalues
 from .moments import ConditionDiagnostics, NullMoments, census_q3, condition_diagnostics
 from .stats import StatisticTriple, graph_test
 
@@ -103,8 +102,10 @@ def run_paired_test(
 
     ``distances`` overrides metric-based computation (precomputed matrices
     must cover all 2n pooled nodes, x rows first). ``pvalue`` selects
-    "asymptotic", "permutation", or "both". A permutation run without a
-    ``seed`` draws one and reports it, so it can be replayed.
+    "asymptotic", "permutation", or "both". ``permutation_pvalues`` decides
+    whether to enumerate or sample; ``exact=True`` refuses a permutation run
+    it would sample, before any distance is computed. The report carries the
+    caller's seed, else the one a sampling run drew, else None.
     """
     if pvalue not in ("asymptotic", "permutation", "both"):
         raise ValidationError(f"unknown pvalue choice {pvalue!r}")
@@ -113,8 +114,8 @@ def run_paired_test(
     if sample.n < 2:
         raise ValidationError("need at least 2 pairs to run a test")
     k = _checked_k(k, 2 * sample.n)
-    if seed is None and pvalue != "asymptotic":
-        seed = secrets.randbits(63)
+    if exact and pvalue != "asymptotic":
+        _require_exact(sample.n)
     # Hotelling draws nothing, so running it first lets d >= n fail before the graph
     hotelling = hotelling_paired(sample) if baseline_ht else None
 
@@ -132,13 +133,7 @@ def run_paired_test(
 
     pvals = PValueReport()
     if pvalue in ("permutation", "both"):
-        pvals = permutation_pvalues(
-            cross,
-            n_perm=n_perm,
-            seed=seed,
-            mode="exact" if exact else "auto",
-            strict=strict,
-        )
+        pvals = permutation_pvalues(cross, n_perm=n_perm, seed=seed, strict=strict)
     if pvalue in ("asymptotic", "both"):
         asym = asymptotic_pvalues(triple)
         pvals = replace(
@@ -163,7 +158,7 @@ def run_paired_test(
         stats=triple,
         pvalues=pvals,
         hotelling=hotelling,
-        seed=seed,
+        seed=pvals.seed if seed is None else seed,
     )
 
 

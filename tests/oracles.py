@@ -14,7 +14,9 @@ diagnostics' earlier sparse form (an m_links x n neighbourhood indicator
 times the link matrix), the paired-CSV reader's earlier cell-by-cell record
 loop, the generator's earlier draw through the dense 2d x 2d stacked
 covariance, the Monte Carlo swap bits drawn one bounded uint8 at a time,
-and the paired t-test that checks Hotelling's T2 at d = 1.
+and the paired t-test that checks Hotelling's T2 at d = 1. One helper is
+no oracle: ``packed_words`` packs swap bit rows with the library's own
+``_pack_into``, so tests can feed chosen swaps to the counting code.
 """
 
 import csv
@@ -36,6 +38,7 @@ from pairedgraph import (
     PairedSample,
     ValidationError,
 )
+from pairedgraph.inference import _pack_into
 from pairedgraph.io import _expected_header, _read_text
 
 
@@ -162,6 +165,14 @@ def integers_swap_bits(rng, size, n):
     """(size, n) Monte Carlo swap bits as ``Generator.integers`` draws them,
     one bounded uint8 per bit."""
     return rng.integers(0, 2, size=(size, n), dtype=np.uint8)
+
+
+def packed_words(bits):
+    """(B, n) swap bit rows as (n, ceil(B / 64)) words, pairs-major, zero padded."""
+    size, n = bits.shape
+    buf = np.zeros((n, 8 * -(-size // 64)), dtype=np.uint8)
+    _pack_into(buf, bits)
+    return buf.view("<u8")
 
 
 def exact_pvalues(edges, n, strict=False):

@@ -222,7 +222,7 @@ def test_c6_permutation_asymptotic_agreement():
         sample = _generate(spec, rng)
         _, cross, _, triple = graph_test(distance_matrix(pool(sample)), 5)
         asym = asymptotic_pvalues(triple)
-        perm = permutation_pvalues(cross, n_perm=10_000, seed=rep, mode="monte-carlo")
+        perm = permutation_pvalues(cross, n_perm=10_000, seed=rep)
         for key, a, p in (
             ("m", asym.p_m_asym, perm.p_m_perm),
             ("s", asym.p_s_asym, perm.p_s_perm),

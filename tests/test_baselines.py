@@ -9,6 +9,7 @@ from scipy import stats as sps
 
 from pairedgraph import (
     DimensionError,
+    ExactTooLargeError,
     PairedSample,
     SingularCovarianceError,
     ValidationError,
@@ -85,6 +86,18 @@ class TestHotelling:
         sample = sample_from(np.random.default_rng(2), 8, 3)
         with pytest.raises(ValidationError, match="^k must be a positive integer, got 0$"):
             run_paired_test(sample.x, sample.y, k=0, baseline_ht=True)
+
+    def test_run_paired_test_refuses_exact_before_hotelling_and_distances(self, monkeypatch):
+        def too_early(*args, **kwargs):
+            pytest.fail("Hotelling's T2 or the distances ran before exact was checked")
+
+        monkeypatch.setattr(report, "hotelling_paired", too_early)
+        monkeypatch.setattr(stats, "distance_matrix", too_early)
+        sample = sample_from(np.random.default_rng(2), 21, 3)
+        with pytest.raises(ExactTooLargeError, match=r"^exact enumeration needs 2\^21 "):
+            run_paired_test(
+                sample.x, sample.y, pvalue="permutation", exact=True, baseline_ht=True
+            )
 
     def test_singular_covariance(self):
         rng = np.random.default_rng(3)

@@ -72,10 +72,35 @@ def test_same_seed_byte_identical(pairs_csv):
     assert a.stdout == b.stdout
 
 
-def test_missing_seed_is_drawn_and_reported(pairs_csv):
-    proc = run_cli("test", "--input", str(pairs_csv), "--pvalue", "permutation")
+@pytest.fixture(scope="module")
+def pairs25_csv(tmp_path_factory):
+    # 25 pairs exceed the exact threshold, so permutation runs sample
+    rng = np.random.default_rng(46)
+    sample = PairedSample(x=rng.standard_normal((25, 2)), y=rng.standard_normal((25, 2)))
+    path = tmp_path_factory.mktemp("data") / "pairs25.csv"
+    write_paired_csv(sample, path)
+    return path
+
+
+def test_missing_seed_is_drawn_and_reported(pairs25_csv):
+    proc = run_cli("test", "--input", str(pairs25_csv), "--pvalue", "permutation")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["seed"] is not None
+
+
+def test_unseeded_enumeration_runs_report_no_seed(pairs_csv):
+    # 10 pairs: all 2^10 swaps are enumerated, nothing random runs
+    a = run_cli("test", "--input", str(pairs_csv), "--pvalue", "permutation")
+    b = run_cli("test", "--input", str(pairs_csv), "--pvalue", "permutation")
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+    assert '"seed":null' in a.stdout and '"mode":"exact"' in a.stdout
+
+
+def test_zero_permutations_exits_2_when_enumerating(pairs_csv):
+    proc = run_cli("test", "--input", str(pairs_csv), "--pvalue", "permutation", "--n-perm", "0")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: need at least one permutation, got n_perm=0\n"
 
 
 def test_unseeded_asymptotic_runs_report_no_seed(pairs_csv):
@@ -232,15 +257,11 @@ def test_singular_difference_covariance_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_zero_permutations_exits_2(tmp_path):
+def test_zero_permutations_exits_2(pairs25_csv):
     # n = 25 exceeds the exact threshold, so permutation mode is monte-carlo
     # and a zero draw count is rejected
-    rng = np.random.default_rng(46)
-    sample = PairedSample(x=rng.standard_normal((25, 2)), y=rng.standard_normal((25, 2)))
-    path = tmp_path / "pairs25.csv"
-    write_paired_csv(sample, path)
     proc = run_cli(
-        "test", "--input", str(path), "--pvalue", "permutation", "--n-perm", "0"
+        "test", "--input", str(pairs25_csv), "--pvalue", "permutation", "--n-perm", "0"
     )
     assert proc.returncode == 2
     assert "permutation" in proc.stderr

@@ -18,6 +18,7 @@ from pairedgraph import (
     null_moments,
     permutation_pvalues,
     run_oracle_validation,
+    run_paired_test,
     standardize,
 )
 from pairedgraph.inference import _chi2_2_sf, _normal_sf
@@ -30,6 +31,7 @@ from oracles import (
     gather_counts,
     integers_swap_bits,
     mirror_counts,
+    packed_words,
     random_cross_edges,
     spin_dtype,
 )
@@ -90,7 +92,7 @@ def test_exact_pvalues_match_independent_enumeration():
         n = int(rng.integers(2, 8))
         edges = random_cross_edges(rng, n)
         cross = cross_of(edges, n)
-        report = permutation_pvalues(cross, mode="exact")
+        report = permutation_pvalues(cross)
         want_m, want_s, want_g = exact_pvalues(edges, n)
         assert report.mode == "exact"
         assert report.n_permutations == 2**n
@@ -109,7 +111,7 @@ def test_exact_pvalues_n3_hand_enumeration():
     # n = 3 pairs, a fixed 3-edge graph: compare against the rational oracle
     edges = np.array([[0, 1], [1, 2], [0, 5]])
     cross = cross_of(edges, 3)
-    report = permutation_pvalues(cross, mode="exact")
+    report = permutation_pvalues(cross)
     want_m, want_s, want_g = exact_pvalues(edges, 3)
     assert report.p_m_perm == float(want_m)
     assert report.p_s_perm == float(want_s)
@@ -119,8 +121,8 @@ def test_exact_pvalues_n3_hand_enumeration():
 def test_strict_flag_counts_only_larger():
     edges = np.array([[0, 1], [1, 2], [0, 5]])
     cross = cross_of(edges, 3)
-    loose = permutation_pvalues(cross, mode="exact")
-    strict = permutation_pvalues(cross, mode="exact", strict=True)
+    loose = permutation_pvalues(cross)
+    strict = permutation_pvalues(cross, strict=True)
     want = exact_pvalues(edges, 3, strict=True)
     assert strict.p_m_perm == float(want[0])
     # the identity swap always ties with itself, so >= includes it
@@ -131,7 +133,7 @@ def test_maximal_statistic_has_minimal_exact_pvalue():
     # identity labeling attains the maximum of R1 + R2 on a same-section path
     edges = np.array([[0, 1], [1, 2]])
     cross = cross_of(edges, 3)
-    report = permutation_pvalues(cross, mode="exact")
+    report = permutation_pvalues(cross)
     table = enumerate_counts(edges, 3)
     best = max(a + b for a, b in table)
     ties = sum(1 for a, b in table if a + b == best)
@@ -139,13 +141,14 @@ def test_maximal_statistic_has_minimal_exact_pvalue():
     assert report.p_m_perm == ties / 2**3
 
 
-def test_monte_carlo_close_to_exact():
+def test_monte_carlo_close_to_exact(monkeypatch):
     rng = np.random.default_rng(8)
     n = 12
     edges = random_cross_edges(rng, n, prob=0.2)
     cross = cross_of(edges, n)
-    exact = permutation_pvalues(cross, mode="exact")
-    mc = permutation_pvalues(cross, mode="monte-carlo", n_perm=100_000, seed=123)
+    exact = permutation_pvalues(cross)
+    monkeypatch.setattr(inference, "DEFAULT_EXACT_THRESHOLD", n - 1)  # sample instead
+    mc = permutation_pvalues(cross, n_perm=100_000, seed=123)
     assert mc.mode == "monte-carlo"
     assert mc.rng_algorithm == "PCG64"
     for got, want in (
@@ -181,15 +184,21 @@ def test_exact_mode_threshold():
     cross = cross_of(edges, n)
     message = r"exact enumeration needs 2\^25 assignments; the threshold is n <= 20"
     with pytest.raises(ExactTooLargeError, match=message):
-        permutation_pvalues(cross, mode="exact")
-    with pytest.raises(ExactTooLargeError, match=message):
         exhaustive_edge_counts(cross)
-    # README: "exhaustive for n <= 20"; exact mode refuses the first n above it
+    x, y = rng.standard_normal((2, n, 2))
+    with pytest.raises(ExactTooLargeError, match=message):
+        run_paired_test(x, y, pvalue="permutation", exact=True)
+    # README: "exhaustive for n <= 20"; exact runs refuse the first n above it
     for n, mode in ((20, "exact"), (21, "monte-carlo")):
         cross = cross_of(random_cross_edges(rng, n, prob=0.1), n)
         assert permutation_pvalues(cross, n_perm=10, seed=0).mode == mode
     with pytest.raises(ExactTooLargeError, match=message.replace("25", "21")):
-        permutation_pvalues(cross, mode="exact")
+        exhaustive_edge_counts(cross)
+    x, y = rng.standard_normal((2, n, 2))
+    with pytest.raises(ExactTooLargeError, match=message.replace("25", "21")):
+        run_paired_test(x, y, pvalue="both", exact=True)
+    # no permutation p-value is asked for, so nothing is refused
+    assert run_paired_test(x, y, exact=True).pvalues.mode is None
 
 
 def test_exact_pvalues_invariant_under_pair_relabeling():
@@ -197,12 +206,12 @@ def test_exact_pvalues_invariant_under_pair_relabeling():
     n = 6
     edges = random_cross_edges(rng, n)
     cross = cross_of(edges, n)
-    base = permutation_pvalues(cross, mode="exact")
+    base = permutation_pvalues(cross)
 
     perm = rng.permutation(n)
     node_map = np.concatenate([perm, perm + n])
     cross2 = cross_of(node_map[edges], n)
-    relabeled = permutation_pvalues(cross2, mode="exact")
+    relabeled = permutation_pvalues(cross2)
     assert base.p_m_perm == relabeled.p_m_perm
     assert base.p_s_perm == relabeled.p_s_perm
     assert base.p_g_perm == relabeled.p_g_perm
@@ -211,12 +220,12 @@ def test_exact_pvalues_invariant_under_pair_relabeling():
 def test_permutation_pvalues_take_only_the_graph():
     cross = cross_of(np.array([[0, 1], [1, 2], [0, 5]]), 3)
     with pytest.raises(TypeError):
-        permutation_pvalues(cross, null_moments(cross), mode="exact")
+        permutation_pvalues(cross, null_moments(cross))
 
 
 def test_degenerate_statistics_propagate_none():
     cross = cross_of(np.array([[0, 1], [2, 3]]), 2)
-    report = permutation_pvalues(cross, mode="exact")
+    report = permutation_pvalues(cross)
     assert report.p_m_perm is not None
     assert report.p_s_perm is None
     assert report.p_g_perm is None
@@ -224,7 +233,7 @@ def test_degenerate_statistics_propagate_none():
 
 def test_empty_graph_all_undefined():
     cross = cross_of(np.empty((0, 2), dtype=np.int64), 3)
-    report = permutation_pvalues(cross, mode="exact")
+    report = permutation_pvalues(cross)
     assert report.p_m_perm is None
     assert report.p_s_perm is None
     assert report.p_g_perm is None
@@ -243,7 +252,7 @@ def test_exact_test_is_valid_under_null():
     for _ in range(replicates):
         base = rng.standard_normal((2 * n, 2))
         cross = extract_cross_pair_graph(build_kmst(distance_matrix(base), 1))
-        report = permutation_pvalues(cross, mode="exact")
+        report = permutation_pvalues(cross)
         for key, p in (
             ("m", report.p_m_perm),
             ("s", report.p_s_perm),
@@ -260,16 +269,17 @@ def test_exact_test_is_valid_under_null():
 
 
 @pytest.mark.slow
-def test_exact_enumeration_at_chunked_scale():
+def test_exact_enumeration_at_chunked_scale(monkeypatch):
     # n = 18 needs 262144 swaps across many chunks; spot-check against the
     # monte-carlo estimate and the identity-inclusion lower bound
     rng = np.random.default_rng(91)
     n = 18
     pooled = rng.standard_normal((2 * n, 3))
     cross = extract_cross_pair_graph(build_kmst(distance_matrix(pooled), 2))
-    exact = permutation_pvalues(cross, mode="exact")
+    exact = permutation_pvalues(cross)
     assert exact.n_permutations == 2**18
-    mc = permutation_pvalues(cross, mode="monte-carlo", n_perm=40_000, seed=5)
+    monkeypatch.setattr(inference, "DEFAULT_EXACT_THRESHOLD", n - 1)  # sample instead
+    mc = permutation_pvalues(cross, n_perm=40_000, seed=5)
     for got, want in (
         (mc.p_m_perm, exact.p_m_perm),
         (mc.p_s_perm, exact.p_s_perm),
@@ -312,11 +322,21 @@ def test_oracle_validation_argument_errors():
     (True, "seed must be an integer, got True"),
 ])
 def test_permutation_pvalues_checks_its_seed(seed, message):
-    cross = cross_of([[0, 1], [1, 2], [0, 5]], 3)
-    for mode in ("monte-carlo", "exact"):
+    # whether it enumerates (3 pairs) or samples (21 pairs)
+    for cross in (cross_of([[0, 1], [1, 2], [0, 5]], 3), shifted_kmst(21)):
         with pytest.raises(ValidationError) as info:
-            permutation_pvalues(cross, n_perm=10, seed=seed, mode=mode)
+            permutation_pvalues(cross, n_perm=10, seed=seed)
         assert str(info.value) == message
+
+
+def test_only_sampling_draws_a_seed_and_reports_it():
+    enumerated = permutation_pvalues(shifted_kmst(10), n_perm=200)
+    assert (enumerated.mode, enumerated.seed, enumerated.rng_algorithm) == ("exact", None, None)
+    cross = shifted_kmst(25)
+    first = permutation_pvalues(cross, n_perm=200)
+    assert (first.mode, first.rng_algorithm) == ("monte-carlo", "PCG64")
+    assert type(first.seed) is int and 0 <= first.seed < 2**63
+    assert permutation_pvalues(cross, n_perm=200, seed=first.seed) == first
 
 
 def test_statistics_match_manual_standardization():
@@ -351,7 +371,7 @@ def unpacked(words, size):
 def assert_counts_match_gather(cross):
     n = cross.n_pairs
     bits = np.random.default_rng(n).integers(0, 2, size=(257, n), dtype=np.uint8)
-    got = inference._swap_counts(cross, inference._packed(bits), 257)
+    got = inference._swap_counts(cross, packed_words(bits), 257)
     for g, w, d in zip(got, gather_counts(cross, bits), dense_spin_counts(cross, bits)):
         assert g.dtype == np.int64
         np.testing.assert_array_equal(g, w)
@@ -406,7 +426,7 @@ def shifted_kmst(n, k=3):
 def test_padding_bits_are_never_counted(size):
     cross = shifted_kmst(30)
     bits = np.random.default_rng(size).integers(0, 2, size=(size, 30), dtype=np.uint8)
-    words = inference._packed(bits)
+    words = packed_words(bits)
     assert words.shape == (30, -(-size // 64))
     np.testing.assert_array_equal(unpacked(words, size), bits)
     padding = np.packbits(np.arange(64 * words.shape[1]) >= size, bitorder="little")
@@ -486,7 +506,7 @@ def test_monte_carlo_pvalues_equal_a_tally_over_integers_blocks(n, seed):
         (inference._CHUNK, inference._SUB + 5),
     ):
         n_perm = sum(blocks)
-        got = permutation_pvalues(cross, mode="monte-carlo", n_perm=n_perm, seed=seed)
+        got = permutation_pvalues(cross, n_perm=n_perm, seed=seed)
         rng = np.random.default_rng(seed)
         bits = np.concatenate([integers_swap_bits(rng, size, n) for size in blocks])
         z_m, z_s, z_g = standardize(*gather_counts(cross, bits), moments)
@@ -541,7 +561,7 @@ def test_swap_null_memory_stays_near_the_draw():
     # enumeration has no draw: its blocks of 2^15 swaps need about 75 bytes
     # a swap, and the dense form needed 3.4 MB at n = 20
     cross = shifted_kmst(20, k=5)
-    peak = traced_peak(lambda: permutation_pvalues(cross, mode="exact"))
+    peak = traced_peak(lambda: permutation_pvalues(cross))
     assert peak < 100 * inference._ENUMERATED_CHUNK
 
 
@@ -585,8 +605,8 @@ def test_monte_carlo_block_sizes_are_not_listed_up_front(monkeypatch):
 @pytest.mark.parametrize(
     "n, kwargs",
     [
-        (60, {"mode": "monte-carlo", "n_perm": 2 * inference._CHUNK + 1, "seed": 4}),
-        (15, {"mode": "exact"}),
+        (60, {"n_perm": 2 * inference._CHUNK + 1, "seed": 4}),
+        (15, {}),
     ],
 )
 def test_pvalues_byte_equal_to_gather_path(monkeypatch, n, kwargs, strict):

@@ -305,6 +305,32 @@ def test_run_paired_test_refuses_a_count_that_is_no_integer(count, value, messag
     assert type(report.k) is int and '"k":3,' in report_json(report)
 
 
+@pytest.mark.parametrize("n", [10, 30])  # enumerated, sampled
+@pytest.mark.parametrize("n_perm, message", [
+    (0, "need at least one permutation, got n_perm=0"),
+    (-3, "need at least one permutation, got n_perm=-3"),
+    (2.5, "n_perm must be an integer, got 2.5"),
+    (None, "n_perm must be an integer, got None"),
+])
+def test_n_perm_is_checked_whether_the_run_enumerates_or_samples(n, n_perm, message):
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((2, n, 2))
+    with pytest.raises(ValidationError) as info:
+        run_paired_test(x, y, k=2, pvalue="both", n_perm=n_perm, seed=1)
+    assert str(info.value) == message
+
+
+def test_unseeded_enumeration_runs_report_no_seed():
+    # all 2^10 swaps are enumerated and nothing random runs, so two runs
+    # print the same bytes
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal((2, 10, 3))
+    a = report_json(run_paired_test(x, y, pvalue="permutation"))
+    b = report_json(run_paired_test(x, y, pvalue="permutation"))
+    assert a == b
+    assert '"seed":null' in a and '"mode":"exact"' in a
+
+
 def test_library_permutation_run_draws_a_replayable_seed():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((25, 3))

@@ -1,6 +1,9 @@
-"""The package exports exactly its modules' ``__all__`` lists."""
+"""The package exports exactly its modules' ``__all__`` lists, and keeps no
+private helper that only the tests call."""
 
+import ast
 import importlib.metadata
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +57,25 @@ def test_installed_version_is_the_package_version():
     except importlib.metadata.PackageNotFoundError:
         pytest.skip("the pairedgraph distribution is not installed")
     assert installed == pairedgraph.__version__
+
+
+def test_private_helpers_have_a_caller_in_the_package():
+    # a module-level _name that no package code loads serves only the tests,
+    # which keep such helpers in tests/oracles.py
+    package = Path(pairedgraph.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
+    defined, loaded = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - loaded) == []
