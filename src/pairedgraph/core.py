@@ -1,8 +1,8 @@
 """Domain types for paired multivariate samples.
 
 ``pool`` stacks the two samples into one matrix whose rows are the graph
-nodes; ``moments._partner`` states the pair layout this gives. User-facing
-messages and files report 1-based indices.
+nodes; ``moments.CrossPairGraph`` states the pair layout this gives.
+User-facing messages and files report 1-based indices.
 """
 
 from __future__ import annotations

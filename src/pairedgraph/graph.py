@@ -55,14 +55,14 @@ class DistanceMatrix:
 
     def __post_init__(self) -> None:
         self._own(np.array(self.condensed, dtype=float))  # a private copy
+        _check_entries(self.condensed)
 
     def _own(self, d: np.ndarray) -> None:
-        """Check ``d`` and keep it, read-only, as the condensed distances."""
+        """Check ``d``'s length and keep it, read-only; callers check its entries."""
         object.__setattr__(self, "condensed", d)
         n = self.n_nodes
         if d.ndim != 1 or n < 2 or n * (n - 1) // 2 != d.size:
             raise ValidationError(f"need N(N-1)/2 distances, N >= 2; got {d.shape}")
-        _check_entries(d)
         d.setflags(write=False)
 
     @classmethod
@@ -78,19 +78,25 @@ class DistanceMatrix:
         return int((2 * self.condensed.size) ** 0.5) + 1  # sqrt(N(N-1)) < N - 1/2
 
 
-def distance_matrix(pooled, metric: str = "euclidean") -> DistanceMatrix:
-    """Pairwise distances between the rows of ``pooled``."""
+def _checked_metric(metric: str) -> str:
+    """scipy's name for ``metric``, refused unless it is one of ``_METRICS``."""
     if metric not in _METRICS:
         raise ValidationError(
             f"unknown metric {metric!r}; expected one of {sorted(_METRICS)} "
             "or a precomputed matrix"
         )
+    return _METRICS[metric]
+
+
+def distance_matrix(pooled, metric: str = "euclidean") -> DistanceMatrix:
+    """Pairwise distances, finite and not negative, between the rows of ``pooled``."""
+    name = _checked_metric(metric)
     points = np.asarray(pooled, dtype=float)
     if points.ndim != 2:
         raise ValidationError("pooled observations must be a 2-D matrix")
     if not np.isfinite(points).all():
         raise ValidationError("pooled observations contain non-finite entries")
-    dist = pdist(points, _METRICS[metric])
+    dist = pdist(points, name)
     if not np.isfinite(dist).all():
         raise ValidationError(
             "distances between the finite pooled observations overflow float64 "
@@ -179,11 +185,12 @@ def _near_tie_buckets(key: np.ndarray, w: np.ndarray, low: np.uint64) -> np.ndar
     return _distinct(np.concatenate(found))  # a bucket may cross a slice boundary
 
 
-def _chunks(offset: np.ndarray):
-    """(lo, hi) spans of whole buckets, of up to _SLICE slots or one bucket."""
+def _spans(offset: np.ndarray, budget: int):
+    """Consecutive (lo, hi) runs of items, item i costing offset[i + 1] -
+    offset[i]: each run costs at most ``budget`` or holds one item."""
     lo = 0
     while lo < offset.size - 1:
-        hi = max(lo + 1, int(np.searchsorted(offset, offset[lo] + _SLICE, "right")) - 1)
+        hi = max(lo + 1, int(np.searchsorted(offset, offset[lo] + budget, "right")) - 1)
         yield lo, hi
         lo = hi
 
@@ -193,8 +200,7 @@ class _Labels(NamedTuple):
 
     low: np.uint64  # the label bits
     buckets: np.ndarray  # high bits of the relabelled buckets, ascending
-    offset: np.ndarray  # bucket b's edges are order[offset[b]:offset[b + 1]]
-    order: np.ndarray  # positions of the relabelled edges, in label order
+    order: np.ndarray  # positions of the relabelled edges; a label indexes it
 
 
 def _edge_keys(w: np.ndarray) -> tuple[np.ndarray, _Labels]:
@@ -204,8 +210,9 @@ def _edge_keys(w: np.ndarray) -> tuple[np.ndarray, _Labels]:
     a label, so the keys of finite weights w >= 0 order like the weights
     except within a bucket of equal high bits. The label is the edge's
     position, which orders exact ties. A bucket whose weights differ in the
-    dropped bits is relabelled 0, 1, ... in (w, position) order instead. The
-    all-ones label is no edge's, so every key is below the largest finite float.
+    dropped bits is relabelled in (w, position) order instead, each edge by its
+    index into ``order``. Both labels are below E < 2^L, so the all-ones label
+    is no edge's, and every key is below the largest finite float.
     """
     bits = w.size.bit_length()
     low = np.uint64((1 << bits) - 1)
@@ -221,9 +228,9 @@ def _edge_keys(w: np.ndarray) -> tuple[np.ndarray, _Labels]:
     offset = np.zeros(buckets.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=offset[1:])
     order = np.empty(offset[-1], dtype=np.uint32)
-    for lo, hi in _chunks(offset):
+    for lo, hi in _spans(offset, _SLICE):
         count = int(offset[hi] - offset[lo])
-        slot = np.arange(count)  # in the chunk; + base is the sorted slot
+        slot = np.arange(count)  # in the span; + base is the sorted slot
         base = np.repeat(first[lo:hi] - offset[lo:hi] + offset[lo], sizes[lo:hi])
         pos = _positions(key[base + slot], low)
         # (bucket, dropped weight bits, slot) composites, the slot keeping
@@ -236,12 +243,11 @@ def _edge_keys(w: np.ndarray) -> tuple[np.ndarray, _Labels]:
         sort.sort()
         order[offset[lo]:offset[hi]] = pos[sort & (np.uint64(1) << width) - np.uint64(1)]
     _labelled(wbits, key, high)
-    for lo, hi in _chunks(offset):  # label: offset - the bucket's first offset
-        label = (offset[lo:hi] - offset[lo]).astype(np.uint64)
-        label = np.repeat((buckets[lo:hi] << shift) - label, sizes[lo:hi])
-        label += np.arange(label.size, dtype=np.uint64)
+    for lo, hi in _spans(offset, _SLICE):  # label: the index into order
+        label = np.repeat(buckets[lo:hi] << shift, sizes[lo:hi])
+        label += np.arange(offset[lo], offset[hi], dtype=np.uint64)
         np.put(key, order[offset[lo]:offset[hi]], label)  # no intp copy of order
-    return key, _Labels(low, buckets, offset, order)
+    return key, _Labels(low, buckets, order)
 
 
 def _edge_positions(heights: np.ndarray, labels: _Labels) -> np.ndarray:
@@ -249,11 +255,8 @@ def _edge_positions(heights: np.ndarray, labels: _Labels) -> np.ndarray:
     key = np.ascontiguousarray(heights).view(np.uint64)
     pos = (key & labels.low).astype(np.int64)
     if labels.buckets.size:
-        bucket = key >> np.uint64(int(labels.low).bit_length())
-        at = np.searchsorted(labels.buckets, bucket)
-        at = np.minimum(at, labels.buckets.size - 1)
-        hit = labels.buckets[at] == bucket
-        pos[hit] = labels.order[labels.offset[at[hit]] + pos[hit]]
+        hit = np.isin(key >> np.uint64(int(labels.low).bit_length()), labels.buckets)
+        pos[hit] = labels.order[pos[hit]]
     return pos
 
 

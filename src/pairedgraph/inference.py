@@ -306,6 +306,14 @@ def _enumerated_words(n: int):
         yield words, size
 
 
+def _checked_n_perm(n_perm) -> int:
+    """n_perm as an int, refused unless it is an integer >= 1."""
+    n_perm = _integer(n_perm, "n_perm")
+    if n_perm < 1:
+        raise ValidationError(f"need at least one permutation, got n_perm={n_perm}")
+    return n_perm
+
+
 def permutation_pvalues(
     cross: CrossPairGraph,
     *,
@@ -324,9 +332,7 @@ def permutation_pvalues(
     ``strict=True``).
     """
     seed = _check_seed(seed)
-    n_perm = _integer(n_perm, "n_perm")
-    if n_perm < 1:
-        raise ValidationError(f"need at least one permutation, got n_perm={n_perm}")
+    n_perm = _checked_n_perm(n_perm)
     n = cross.n_pairs
     if n <= DEFAULT_EXACT_THRESHOLD:
         mode, blocks, total, extra = "exact", _enumerated_words(n), 1 << n, 0

@@ -2,8 +2,8 @@
 
 The tests condition on the similarity graph and randomize only over the 2^n
 within-pair label swaps (each pair sends one node to sample 1 and the other
-to sample 2, independently and uniformly; ``_partner`` states which pooled
-nodes form a pair). Within-pair edges can never join two equal labels, so
+to sample 2, independently and uniformly; ``CrossPairGraph`` states which
+pooled nodes form a pair). Within-pair edges can never join two equal labels, so
 every moment is a function of the cross-pair subgraph alone: of its edge
 count m, its degree vector deg and the signed weight w of each pair-pair
 link, the sum of t_u t_v over the link's edges with side sign t = +1 below
@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import ValidationError, _integer
-from .graph import SimilarityGraph
+from .graph import SimilarityGraph, _spans
 
 __all__ = [
     "CrossPairGraph",
@@ -60,7 +60,8 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class CrossPairGraph:
     """Cross-pair edges on n_pairs pairs, with the degrees, the pair form and
-    the observed counts (nodes below n in sample 1) derived from them once."""
+    the observed counts derived from them once. Pooled nodes i and i + n (rows
+    i of x and y) form pair i, and the nodes below n are in sample 1."""
 
     edges: np.ndarray  # (m, 2) int64, u < v, no edge joins a node to its partner
     n_pairs: int
@@ -145,16 +146,6 @@ class ConditionDiagnostics:
     ab_ratio: float | None
 
 
-def _partner(n_nodes: int) -> np.ndarray:
-    """Partner of every pooled node.
-
-    The pooled matrix holds the n pairs as rows 0..n-1 (first sample, x)
-    followed by rows n..2n-1 (second sample, y), so node i is paired with
-    node i +/- n. The observed labeling puts nodes below n in sample 1.
-    """
-    return (np.arange(n_nodes) + n_nodes // 2) % n_nodes
-
-
 def _pair_id(nodes: np.ndarray, n_pairs: int) -> np.ndarray:
     """Pair of each pooled node: node i and its partner both map to i mod n."""
     return nodes % n_pairs
@@ -168,8 +159,8 @@ def extract_cross_pair_graph(graph: SimilarityGraph) -> CrossPairGraph:
             f"graph has {n_nodes} nodes; paired data need an even count of at "
             "least 2"
         )
-    edges = graph.edges
-    edges = edges[_partner(n_nodes)[edges[:, 0]] != edges[:, 1]]
+    edges = graph.edges  # rows u < v, so a within-pair edge has v - u = n
+    edges = edges[edges[:, 1] - edges[:, 0] != n_nodes // 2]
     return CrossPairGraph(edges=edges, n_pairs=n_nodes // 2)
 
 
@@ -201,9 +192,9 @@ def null_moments(cross: CrossPairGraph) -> NullMoments:
     )
 
 
-# Links are evaluated in blocks of about this many gathered entries of N[b],
-# so the diagnostics' gathers stay bounded on dense graphs too; a block's
-# product Y' diag(mult) Y has at most n^2 entries whatever its size.
+# Links are evaluated in blocks of at most this many gathered entries of N[b]
+# (or one link), so the diagnostics' gathers stay bounded on dense graphs too;
+# a block's product Y' diag(mult) Y has at most n^2 entries whatever its size.
 _LINK_BUDGET = 1 << 17
 
 
@@ -211,14 +202,6 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Sums of the consecutive runs of ``values`` with the given lengths."""
     total = np.r_[0, np.cumsum(values)]
     return np.diff(total[np.r_[0, np.cumsum(lengths)]])
-
-
-def _blocks(cost: np.ndarray, budget: int):
-    """Consecutive (start, stop) runs of items, each run's cost below budget
-    plus the cost of its last item."""
-    first = np.cumsum(cost) - cost
-    bounds = np.r_[0, np.flatnonzero(np.diff(first // budget)) + 1, cost.size]
-    return zip(bounds[:-1].tolist(), bounds[1:].tolist())
 
 
 def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
@@ -239,11 +222,11 @@ def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
     y_e'W y_e = 2 (Y' diag(mult) Y)[a, b], Y the links x n indicator of the
     sets I_f. Per link only N[b] (the smaller closed neighborhood) is
     gathered from dense n x n tables of M and of C's membership, and
-    Y' diag(mult) Y is summed into a third, in blocks of about ``_LINK_BUDGET``
-    gathered entries. The tables take 2 * 8 n^2 + n^2 bytes, below the
-    k-MST's three E-length 8-byte arrays on the same 2n nodes (about 48 n^2
-    bytes). Each link is weighted by W[a, b]; every count is int64, and no
-    BLAS routine is called.
+    Y' diag(mult) Y is summed into a third, in blocks of at most
+    ``_LINK_BUDGET`` gathered entries or one link. The tables take 2 * 8 n^2 +
+    n^2 bytes, below the k-MST's distances and uint64 keys on the same 2n
+    nodes (two E-length 8-byte arrays, about 32 n^2 bytes). Each link is
+    weighted by W[a, b]; every count is int64, and no BLAS routine is called.
     """
     n, q = cross.n_pairs, cross.q
     pa, pb, w_link, _ = cross.links
@@ -269,7 +252,7 @@ def condition_diagnostics(cross: CrossPairGraph) -> ConditionDiagnostics:
 
     a, b = np.where(size[pa] < size[pb], (pb, pa), (pa, pb))
     sizes_b = np.empty(a.size, np.int64)
-    for lo, hi in _blocks(size[b], _LINK_BUDGET):
+    for lo, hi in _spans(np.r_[0, np.cumsum(size[b])], _LINK_BUDGET):
         a_, b_ = a[lo:hi], b[lo:hi]
         link = np.repeat(np.arange(hi - lo), size[b_])
         j = c[b_].indices  # N[b] of every link

@@ -14,8 +14,9 @@ import numpy as np
 from ._version import __version__
 from .baselines import HotellingReport, hotelling_paired
 from .core import FLOAT_FORMAT, PairedSample, ValidationError, _check_seed, pool
-from .graph import DistanceMatrix, _checked_k
-from .inference import PValueReport, _require_exact, asymptotic_pvalues, permutation_pvalues
+from .graph import DistanceMatrix, _checked_k, _checked_metric
+from .inference import PValueReport, _checked_n_perm, _require_exact
+from .inference import asymptotic_pvalues, permutation_pvalues
 from .moments import ConditionDiagnostics, NullMoments, census_q3, condition_diagnostics
 from .stats import StatisticTriple, graph_test
 
@@ -104,8 +105,9 @@ def run_paired_test(
     must cover all 2n pooled nodes, x rows first). ``pvalue`` selects
     "asymptotic", "permutation", or "both". ``permutation_pvalues`` decides
     whether to enumerate or sample; ``exact=True`` refuses a permutation run
-    it would sample, before any distance is computed. The report carries the
-    caller's seed, else the one a sampling run drew, else None.
+    it would sample. The arguments are checked before Hotelling or any
+    distance runs. The report carries the caller's seed, else the one a
+    sampling run drew, else None.
     """
     if pvalue not in ("asymptotic", "permutation", "both"):
         raise ValidationError(f"unknown pvalue choice {pvalue!r}")
@@ -114,18 +116,21 @@ def run_paired_test(
     if sample.n < 2:
         raise ValidationError("need at least 2 pairs to run a test")
     k = _checked_k(k, 2 * sample.n)
-    if exact and pvalue != "asymptotic":
-        _require_exact(sample.n)
+    if pvalue != "asymptotic":
+        n_perm = _checked_n_perm(n_perm)
+        if exact:
+            _require_exact(sample.n)
+    if distances is None:
+        _checked_metric(metric)
+    elif distances.n_nodes != 2 * sample.n:
+        raise ValidationError(
+            f"distance matrix covers {distances.n_nodes} nodes but the "
+            f"pooled sample has {2 * sample.n}"
+        )
+    else:
+        metric = distances.metric
     # Hotelling draws nothing, so running it first lets d >= n fail before the graph
     hotelling = hotelling_paired(sample) if baseline_ht else None
-
-    if distances is not None:
-        if distances.n_nodes != 2 * sample.n:
-            raise ValidationError(
-                f"distance matrix covers {distances.n_nodes} nodes but the "
-                f"pooled sample has {2 * sample.n}"
-            )
-        metric = distances.metric
 
     graph, cross, moments, triple = graph_test(
         pool(sample) if distances is None else distances, k, metric

@@ -14,6 +14,7 @@ from pairedgraph import (
     SingularCovarianceError,
     ValidationError,
     hotelling_paired,
+    precomputed_distance,
     run_paired_test,
     write_paired_csv,
 )
@@ -98,6 +99,29 @@ class TestHotelling:
             run_paired_test(
                 sample.x, sample.y, pvalue="permutation", exact=True, baseline_ht=True
             )
+
+    @pytest.mark.parametrize("arguments, message", [
+        ({"pvalue": "both", "n_perm": 0}, "need at least one permutation, got n_perm=0"),
+        ({"pvalue": "both", "n_perm": -3}, "need at least one permutation, got n_perm=-3"),
+        ({"pvalue": "both", "n_perm": 2.5}, "n_perm must be an integer, got 2.5"),
+        ({"pvalue": "both", "n_perm": True}, "n_perm must be an integer, got True"),
+        ({"metric": "bogus"}, "unknown metric 'bogus'; expected one of ['euclidean', "
+         "'manhattan'] or a precomputed matrix"),
+        ({"distances": precomputed_distance(np.zeros((4, 4)))},
+         "distance matrix covers 4 nodes but the pooled sample has 60"),
+    ], ids=["n_perm=0", "n_perm=-3", "n_perm=2.5", "n_perm=True", "metric", "distances"])
+    def test_run_paired_test_checks_its_arguments_before_hotelling_and_distances(
+        self, monkeypatch, arguments, message
+    ):
+        def too_early(*args, **kwargs):
+            pytest.fail("Hotelling's T2 or the distances ran before the arguments were checked")
+
+        monkeypatch.setattr(report, "hotelling_paired", too_early)
+        monkeypatch.setattr(stats, "distance_matrix", too_early)
+        sample = sample_from(np.random.default_rng(2), 30, 3)
+        with pytest.raises(ValidationError) as info:
+            run_paired_test(sample.x, sample.y, baseline_ht=True, seed=1, **arguments)
+        assert str(info.value) == message
 
     def test_singular_covariance(self):
         rng = np.random.default_rng(3)

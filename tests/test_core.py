@@ -12,19 +12,26 @@ from pairedgraph import (
     extract_cross_pair_graph,
     pool,
 )
-from pairedgraph.moments import _partner
+
+
+def partner_edges(n):
+    """The edges extract_cross_pair_graph drops from the complete graph on 2n nodes."""
+    u, v = np.triu_indices(2 * n, 1)
+    cross = extract_cross_pair_graph(SimilarityGraph(np.stack([u, v], axis=1), 2 * n))
+    assert cross.n_pairs == n
+    return sorted(set(zip(u.tolist(), v.tolist())) - set(map(tuple, cross.edges.tolist())))
 
 
 def test_pool_single_pair():
     sample = PairedSample(x=[[1.0, 2.0]], y=[[3.0, 4.0]])
     assert pool(sample).tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert _partner(2).tolist() == [1, 0]
+    assert partner_edges(1) == [(0, 1)]
 
 
 def test_pool_two_pairs_partner_map():
     sample = PairedSample(x=np.zeros((2, 1)), y=np.ones((2, 1)))
     assert pool(sample).shape == (4, 1)
-    assert _partner(4).tolist() == [2, 3, 0, 1]
+    assert partner_edges(2) == [(0, 2), (1, 3)]
 
 
 def test_pool_row_layout_round_trips():
@@ -38,9 +45,11 @@ def test_pool_row_layout_round_trips():
 
 @given(st.integers(min_value=1, max_value=50))
 def test_partner_is_an_involution(n):
-    partner = _partner(2 * n)
-    assert (partner != np.arange(2 * n)).all()
-    assert np.array_equal(partner[partner], np.arange(2 * n))
+    # exactly the n edges (i, i + n) are dropped, so every node has one
+    # partner, not itself, and is its partner's partner
+    pairs = partner_edges(n)
+    assert pairs == [(i, i + n) for i in range(n)]
+    assert sorted(node for pair in pairs for node in pair) == list(range(2 * n))
 
 
 @given(st.integers(min_value=1, max_value=30))
@@ -49,7 +58,7 @@ def test_identity_assignment_is_balanced(n):
     # node in each sample
     in_first = np.arange(2 * n) < n
     assert np.count_nonzero(in_first) == n
-    assert (in_first != in_first[_partner(2 * n)]).all()
+    assert all(in_first[u] != in_first[v] for u, v in partner_edges(n))
 
 
 def test_sample_rejects_nan_with_location():

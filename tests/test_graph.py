@@ -461,11 +461,31 @@ def same_as_both_oracles(dist, k):
         assert np.array_equal(got, kruskal)
 
 
+@given(
+    st.lists(st.integers(min_value=0, max_value=20), max_size=40),
+    st.integers(min_value=1, max_value=30),
+)
+def test_spans_tile_the_items_within_the_budget(cost, budget):
+    offset = np.concatenate([[0], np.cumsum(cost, dtype=np.int64)])
+    spans = list(graph._spans(offset, budget))
+    assert [0] + [hi for _, hi in spans] == [lo for lo, _ in spans] + [len(cost)]
+    for lo, hi in spans:
+        assert hi - lo == 1 or lo < hi and sum(cost[lo:hi]) <= budget
+
+
 @pytest.mark.parametrize("slice_size", [2, 5, 64])
 def test_kmst_in_small_slices_matches_the_ranked_kmst(monkeypatch, slice_size):
-    # slices and relabelling chunks far smaller than the buckets: buckets
-    # cross slice boundaries, and some fill a chunk alone
+    # slices and relabelling spans far smaller than the buckets: buckets
+    # cross slice boundaries, and some fill a span alone
     monkeypatch.setattr(graph, "_SLICE", slice_size)
+    whole, runs = graph._spans, []
+
+    def spans(offset, budget):
+        assert budget == slice_size
+        runs.append(list(whole(offset, budget)))
+        return runs[-1]
+
+    monkeypatch.setattr(graph, "_spans", spans)
     rng = np.random.default_rng(43)
     rounded = np.round(rng.standard_normal((40, 2)), 1)
     grid = rng.integers(0, 3, size=(40, 2)).astype(float)
@@ -475,6 +495,7 @@ def test_kmst_in_small_slices_matches_the_ranked_kmst(monkeypatch, slice_size):
             key, _ = graph._edge_keys(dist.condensed)
             assert np.array_equal(np.argsort(key), key_sort_order(dist.condensed))
             same_as_both_oracles(dist, 4)
+    assert max(map(len, runs)) > 1  # the relabel loops ran in several spans
 
 
 @pytest.mark.parametrize("top", [False, True])
