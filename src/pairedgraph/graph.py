@@ -166,15 +166,14 @@ def _positions(key: np.ndarray, low: np.uint64) -> np.ndarray:
 
 
 def _distinct(ascending: np.ndarray) -> np.ndarray:
-    """``ascending`` without its repeats."""
+    """``ascending`` without its repeats; numpy 2.4's ``np.unique`` hashes, twice as slow."""
     keep = np.ones(ascending.size, dtype=bool)
     np.not_equal(ascending[1:], ascending[:-1], out=keep[1:])
     return ascending[keep]
 
 
-def _near_tie_buckets(key: np.ndarray, w: np.ndarray, low: np.uint64) -> np.ndarray:
-    """High bits, ascending, of the buckets of sorted ``key`` whose weights differ."""
-    shift = np.uint64(int(low).bit_length())
+def _near_tie_buckets(key: np.ndarray, w: np.ndarray, low, shift) -> np.ndarray:
+    """Buckets (key >> shift), ascending, of sorted ``key`` whose weights differ."""
     found = [np.zeros(0, dtype=np.uint64)]  # E = 1 has no pair of slots
     for start in range(0, key.size - 1, _SLICE):
         run = key[start:min(start + _SLICE, key.size - 1) + 1]
@@ -199,7 +198,8 @@ class _Labels(NamedTuple):
     """How to read an edge's position from its key."""
 
     low: np.uint64  # the label bits
-    buckets: np.ndarray  # high bits of the relabelled buckets, ascending
+    shift: np.uint64  # their count: key >> shift, below 2^63, is the key's bucket
+    buckets: np.ndarray  # the relabelled buckets, ascending, then an all-ones sentinel
     order: np.ndarray  # positions of the relabelled edges; a label indexes it
 
 
@@ -212,7 +212,7 @@ def _edge_keys(w: np.ndarray) -> tuple[np.ndarray, _Labels]:
     position, which orders exact ties. A bucket whose weights differ in the
     dropped bits is relabelled in (w, position) order instead, each edge by its
     index into ``order``. Both labels are below E < 2^L, so the all-ones label
-    is no edge's, and every key is below the largest finite float.
+    is no edge's, and each key is a float in [0, max), which sorts as its bits.
     """
     bits = w.size.bit_length()
     low = np.uint64((1 << bits) - 1)
@@ -221,8 +221,8 @@ def _edge_keys(w: np.ndarray) -> tuple[np.ndarray, _Labels]:
     wbits = w.view(np.uint64)
     key = np.empty(w.size, dtype=np.uint64)
     _labelled(wbits, key, high)
-    key.sort()  # by (high bits, position): a bucket is a run of sorted slots
-    buckets = _near_tie_buckets(key, w, low)
+    key.view(np.float64).sort()  # by (high bits, position): a bucket is a run of sorted slots
+    buckets = _near_tie_buckets(key, w, low, shift)
     first = np.searchsorted(key, buckets << shift)
     sizes = np.searchsorted(key, (buckets + np.uint64(1)) << shift) - first
     offset = np.zeros(buckets.size + 1, dtype=np.int64)
@@ -247,16 +247,16 @@ def _edge_keys(w: np.ndarray) -> tuple[np.ndarray, _Labels]:
         label = np.repeat(buckets[lo:hi] << shift, sizes[lo:hi])
         label += np.arange(offset[lo], offset[hi], dtype=np.uint64)
         np.put(key, order[offset[lo]:offset[hi]], label)  # no intp copy of order
-    return key, _Labels(low, buckets, order)
+    return key, _Labels(low, shift, np.append(buckets, np.iinfo(np.uint64).max), order)
 
 
 def _edge_positions(heights: np.ndarray, labels: _Labels) -> np.ndarray:
-    """Condensed positions of the edges whose keys are ``heights``."""
+    """Condensed positions of the edges keyed ``heights``, each bucket found by bisection."""
     key = np.ascontiguousarray(heights).view(np.uint64)
-    pos = (key & labels.low).astype(np.int64)
-    if labels.buckets.size:
-        hit = np.isin(key >> np.uint64(int(labels.low).bit_length()), labels.buckets)
-        pos[hit] = labels.order[pos[hit]]
+    pos = _positions(key, labels.low)
+    bucket = key >> labels.shift
+    hit = labels.buckets[np.searchsorted(labels.buckets, bucket)] == bucket
+    pos[hit] = labels.order[pos[hit]]
     return pos
 
 

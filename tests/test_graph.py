@@ -372,6 +372,7 @@ ULP = [1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 0.0), 1.0]
         ULP[::-1] + [0.0, 5e-324, 0.0, 1e-320, 5e-324],  # subnormal weights too
         [np.finfo(float).max, np.nextafter(np.finfo(float).max, 0.0)] * 3,
         [0.0, -0.0, 1.0, -0.0, 0.0],  # a precomputed -0.0 is a zero weight
+        ULP + [3.0],  # a bucket above every relabelled one
     ],
 )
 def test_edge_keys_sort_into_the_full_key_sort(w):
@@ -392,9 +393,30 @@ def test_rounded_data_take_the_relabel_path():
     for metric in ("euclidean", "manhattan"):
         dist = distance_matrix(pooled, metric)
         key, labels = graph._edge_keys(dist.condensed)
-        assert labels.buckets.size > 0 and labels.order.size > 0
+        assert labels.buckets.size > 1 and labels.order.size > 0  # buckets, then the sentinel
         assert np.array_equal(np.argsort(key), key_sort_order(dist.condensed))
         assert same_as_kruskal(dist, 5) is None
+
+
+def test_bucket_decode_holds_no_table_sized_array():
+    # 10^6 two-edge near-tie buckets: each pair one ulp apart, the pairs 2^-20
+    # apart, far more than a bucket's 2^21 ulps. Hashing the bucket table on
+    # each decode (np.isin) traced 33.6 MiB; a bisection holds the heights' size
+    base = 1.0 + np.arange(1_000_000) * 2.0**-20
+    w = np.stack([np.nextafter(base, 2.0), base], axis=1).ravel()
+    key, labels = graph._edge_keys(w)
+    assert labels.order.size == w.size
+    rng = np.random.default_rng(42)
+    top = [w.size - 2, w.size - 1]  # the topmost bucket, just below the sentinel
+    pick = np.concatenate([rng.choice(w.size - 2, 3998, replace=False), top])
+    heights = key[pick].view(np.float64)
+    assert np.array_equal(graph._edge_positions(heights, labels), pick)
+    assert traced_peak(lambda: graph._edge_positions(heights, labels)) < 2**20
+    # no bucket relabelled: the table is the sentinel alone
+    key, labels = graph._edge_keys(base)
+    assert labels.order.size == 0
+    heights = key[pick // 2].view(np.float64)
+    assert np.array_equal(graph._edge_positions(heights, labels), pick // 2)
 
 
 def kmst_input(kind, metric, n_nodes, seed):
@@ -599,19 +621,21 @@ def test_distances_and_kmst_hold_few_edge_length_arrays():
     # pdist's vector is kept, not copied (copying it peaked at 2 x 8E), and
     # only one-byte masks check it
     assert traced_peak(lambda: distance_matrix(pooled)) < 1.3 * eight_e
-    # the keys, one 8E array, and slices of them: an argsort order and ranks
-    # made it 2.13 x 8E, and 5.13 x 8E on the tie-heavy grids
+    # the keys, one 8E array, and slices of them: 1.13 x 8E. An argsort order
+    # and ranks made it 2.13 x 8E, and 5.13 x 8E on the tie-heavy grids
     grid = rng.integers(0, 3, size=(2000, 4)).astype(float)
     for dist in (
         distance_matrix(pooled),
         distance_matrix(grid, "euclidean"),
         distance_matrix(grid, "manhattan"),
     ):
-        assert traced_peak(lambda: build_kmst(dist, 5)) <= 2.25 * eight_e
-    # near-ties relabel nearly every edge and keep a 4-byte position for
-    # each; the ranked order peaked at 5.12 x 8E on these
-    dist = distance_matrix(np.round(pooled, 1))
-    assert traced_peak(lambda: build_kmst(dist, 5)) <= 5.12 * eight_e
+        assert traced_peak(lambda: build_kmst(dist, 5)) <= 1.25 * eight_e
+    # near-ties relabel many edges and keep a 4-byte position for each:
+    # 1.72 and 2.16 x 8E at one and two decimals. The ranked order peaked at
+    # 5.12 x 8E on these
+    for decimals, bound in ((1, 1.9), (2, 2.4)):
+        dist = distance_matrix(np.round(pooled, decimals))
+        assert traced_peak(lambda: build_kmst(dist, 5)) <= bound * eight_e
 
 
 def test_similarity_graph_rejects_junk():

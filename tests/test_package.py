@@ -79,3 +79,24 @@ def test_private_helpers_have_a_caller_in_the_package():
                 loaded.add(node.attr)
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert sorted(private - loaded) == []
+
+
+def test_no_hashed_set_routine_runs_on_package_arrays():
+    # numpy 2.4 hashes in np.isin, the other set routines and an np.unique
+    # asked for no return_* array: np.isin decoding the k-MST's buckets made
+    # build_kmst 2-3x slower at N = 6000, and np.unique in graph._distinct made
+    # _edge_keys 2x slower. Sorted arrays are bisected or compared instead.
+    package = Path(pairedgraph.__file__).parent
+    hashed = {"isin", "in1d", "intersect1d", "setdiff1d", "union1d"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            func = node.func
+            if not (isinstance(func.value, ast.Name) and func.value.id == "np"):
+                continue
+            asks = any((kw.arg or "").startswith("return_") for kw in node.keywords)
+            if func.attr in hashed or (func.attr == "unique" and not asks):
+                found.append(f"{path.name}:{node.lineno} np.{func.attr}")
+    assert found == []
